@@ -443,6 +443,25 @@ impl Propagator {
         }
     }
 
+    /// Fixpoint: re-assert residual atoms whose operands may have since
+    /// become evaluable (e.g. chained equalities asserted out of order).
+    /// Returns `false` on a contradiction.
+    fn settle(&mut self, pool: &TermPool) -> bool {
+        loop {
+            let atoms = std::mem::take(&mut self.residual);
+            let before = atoms.len();
+            for (t, pol) in atoms {
+                self.assert_atom(pool, t, pol);
+            }
+            if self.contradiction {
+                return false;
+            }
+            if self.residual.len() >= before {
+                return true;
+            }
+        }
+    }
+
     fn as_sym(pool: &TermPool, t: TermRef) -> Option<SymId> {
         match *pool.get(t) {
             Term::Sym { id, .. } => Some(id),
@@ -509,194 +528,11 @@ impl Solver {
         mode: Finish,
         stats: Option<&mut SolverStats>,
     ) -> SolveResult {
-        // Fixpoint: re-assert residual atoms whose operands may have since
-        // become evaluable (e.g. chained equalities asserted out of order).
-        loop {
-            let atoms = std::mem::take(&mut prop.residual);
-            let before = atoms.len();
-            for (t, pol) in atoms {
-                prop.assert_atom(pool, t, pol);
-            }
-            if prop.contradiction {
-                return SolveResult::Unsat;
-            }
-            if prop.residual.len() >= before {
-                break;
-            }
+        if !prop.settle(pool) {
+            return SolveResult::Unsat;
         }
-
-        // Component-wise exhaustive checking. Constraints are grouped
-        // into connected components by shared *unbound* symbols; a
-        // component whose free symbols span a small domain is enumerated
-        // completely. An unsatisfiable component makes the whole
-        // conjunction definitively Unsat (an unsat core). This is what
-        // lets the explorer prune contradictions over *derived* packet
-        // fields — e.g. the chain pair "firewall saw (ihl & 0xF) ≤ 5" ∧
-        // "router saw (ihl & 0xF) > 5" — which interval propagation over
-        // bare symbols cannot see, even when other constraints in the set
-        // range over 32-bit fields.
-        let bound_pairs: Vec<(SymId, u64)> = prop.bound.iter().map(|(&r, &v)| (r, v)).collect();
-        {
-            // Free-symbol support of each constraint (the per-term symbol
-            // support is cached in the pool; only the representative
-            // mapping is computed here).
-            let supports: Vec<Vec<SymId>> = constraints
-                .iter()
-                .map(|&c| {
-                    let reps: Vec<SymId> = pool.syms_of(c).iter().map(|&s| prop.find(s)).collect();
-                    let mut v: Vec<SymId> = reps
-                        .into_iter()
-                        .filter(|r| !prop.bound.contains_key(r))
-                        .collect();
-                    v.sort_unstable();
-                    v.dedup();
-                    v
-                })
-                .collect();
-            // Constraints whose symbols are all bound are decided by
-            // direct evaluation: the bindings are forced, so a false
-            // value here is a definitive contradiction.
-            let mut forced = Witness::default();
-            for &(r, v) in &bound_pairs {
-                forced.set(r, v);
-            }
-            for (ci, sup) in supports.iter().enumerate() {
-                if sup.is_empty() {
-                    let c = constraints[ci];
-                    let mut w = forced.clone();
-                    for &s in pool.syms_of(c) {
-                        let r = prop.find(s);
-                        let v = w.get(r);
-                        w.set(s, v);
-                    }
-                    if w.eval(pool, c) != 1 {
-                        return SolveResult::Unsat;
-                    }
-                }
-            }
-            // Union-find over constraint indices via shared symbols.
-            let mut comp: HashMap<SymId, usize> = HashMap::new();
-            let mut groups: Vec<Vec<usize>> = Vec::new();
-            let mut group_of_constraint: Vec<Option<usize>> = vec![None; constraints.len()];
-            for (ci, sup) in supports.iter().enumerate() {
-                if sup.is_empty() {
-                    continue;
-                }
-                // Find an existing group among this constraint's symbols.
-                let mut g = None;
-                for s in sup {
-                    if let Some(&gi) = comp.get(s) {
-                        g = Some(gi);
-                        break;
-                    }
-                }
-                let gi = g.unwrap_or_else(|| {
-                    groups.push(Vec::new());
-                    groups.len() - 1
-                });
-                groups[gi].push(ci);
-                group_of_constraint[ci] = Some(gi);
-                for &s in sup {
-                    if let Some(&old) = comp.get(&s) {
-                        if old != gi {
-                            // Merge: move old group's constraints in.
-                            let moved = std::mem::take(&mut groups[old]);
-                            for m in &moved {
-                                group_of_constraint[*m] = Some(gi);
-                            }
-                            groups[gi].extend(moved);
-                            for v in comp.values_mut() {
-                                if *v == old {
-                                    *v = gi;
-                                }
-                            }
-                        }
-                    }
-                    comp.insert(s, gi);
-                }
-            }
-            let mut partial = Witness::default();
-            for &(r, v) in &bound_pairs {
-                partial.set(r, v);
-            }
-            let mut all_components_solved = true;
-            for group in groups.iter().filter(|g| !g.is_empty()) {
-                let mut syms: Vec<SymId> = group
-                    .iter()
-                    .flat_map(|&ci| supports[ci].iter().copied())
-                    .collect();
-                syms.sort_unstable();
-                syms.dedup();
-                let domain: u128 = syms
-                    .iter()
-                    .map(|&r| {
-                        let iv = prop.iv(pool, r);
-                        (iv.hi - iv.lo) as u128 + 1
-                    })
-                    .product();
-                if syms.len() > 2 || domain > 4096 {
-                    all_components_solved = false;
-                    continue;
-                }
-                let group_terms: Vec<TermRef> = group.iter().map(|&ci| constraints[ci]).collect();
-                let intervals: Vec<Interval> = syms.iter().map(|&r| prop.iv(pool, r)).collect();
-                let mut assignment: Vec<u64> = intervals.iter().map(|iv| iv.lo).collect();
-                let mut found = false;
-                'enumerate: loop {
-                    let mut w = Witness::default();
-                    for (&r, &v) in syms.iter().zip(&assignment) {
-                        w.set(r, v);
-                    }
-                    for &(r, v) in &bound_pairs {
-                        w.set(r, v);
-                    }
-                    // Member symbols of enumerated/bound representatives.
-                    for &c in &group_terms {
-                        for &s in pool.syms_of(c) {
-                            let r = prop.find(s);
-                            let v = w.get(r);
-                            w.set(s, v);
-                        }
-                    }
-                    if w.satisfies(pool, &group_terms) {
-                        found = true;
-                        for (&r, &v) in syms.iter().zip(&assignment) {
-                            partial.set(r, v);
-                        }
-                        break 'enumerate;
-                    }
-                    let mut i = 0;
-                    loop {
-                        if i == syms.len() {
-                            break 'enumerate;
-                        }
-                        if assignment[i] < intervals[i].hi {
-                            assignment[i] += 1;
-                            break;
-                        }
-                        assignment[i] = intervals[i].lo;
-                        i += 1;
-                    }
-                }
-                if !found {
-                    return SolveResult::Unsat;
-                }
-            }
-            if all_components_solved {
-                // Every component got a witness over disjoint symbols:
-                // merge, extend to members, and verify.
-                let mut w = partial.clone();
-                for &c in constraints {
-                    for &s in pool.syms_of(c) {
-                        let r = prop.find(s);
-                        let v = w.get(r);
-                        w.set(s, v);
-                    }
-                }
-                if w.satisfies(pool, constraints) {
-                    return SolveResult::Sat(w);
-                }
-            }
+        if let Some(decided) = decide_components(pool, constraints, &mut prop) {
+            return decided;
         }
 
         // Feasibility callers stop here: completion can only upgrade
@@ -709,6 +545,18 @@ impl Solver {
             s.completion_searches += 1;
         }
 
+        self.complete(pool, constraints, &mut prop)
+    }
+
+    /// Randomized completion: the last stage of the batch procedure,
+    /// reached only when propagation and component enumeration left the
+    /// conjunction undecided.
+    fn complete(
+        &self,
+        pool: &TermPool,
+        constraints: &[TermRef],
+        prop: &mut Propagator,
+    ) -> SolveResult {
         // Completion: every symbol the constraints mention gets a value.
         // The support — not the whole pool registry — so the verdict and
         // the witness depend only on the constraint list itself: symbols
@@ -811,6 +659,187 @@ impl Solver {
         }
         SolveResult::Unknown
     }
+}
+
+/// Component-wise exhaustive checking. Constraints are grouped into
+/// connected components by shared *unbound* symbols; a component whose
+/// free symbols span a small domain (at most two representatives, at most
+/// 4096 assignments) is enumerated completely. An unsatisfiable component
+/// makes the whole conjunction definitively Unsat (an unsat core). This is
+/// what lets the explorer prune contradictions over *derived* packet
+/// fields — e.g. the chain pair "firewall saw (ihl & 0xF) ≤ 5" ∧ "router
+/// saw (ihl & 0xF) > 5" — which interval propagation over bare symbols
+/// cannot see, even when other constraints in the set range over 32-bit
+/// fields.
+///
+/// Evaluation runs against one flat environment indexed by [`SymId`]:
+/// every symbol of the conjunction is resolved once, up front, to the
+/// forced binding of its class (or 0). Before a component is enumerated
+/// its member table lists each member symbol whose representative is
+/// enumerated, with that representative's slot; each candidate assignment
+/// then costs a store per member and a walk of the component's terms —
+/// no allocation, no hashing. Candidates are visited first slot fastest,
+/// each slot from its interval's low end, and the first satisfying one is
+/// the component's witness. That order is part of the solver's output:
+/// returned witnesses become cached models, which answer later probes and
+/// so move [`SolverStats`] and composed contracts if the order changes.
+///
+/// Returns `Some` when the components decide the conjunction (`Unsat`, or
+/// `Sat` with a merged, verified witness when every component was
+/// enumerated), `None` when the caller must fall back to completion.
+fn decide_components(
+    pool: &TermPool,
+    constraints: &[TermRef],
+    prop: &mut Propagator,
+) -> Option<SolveResult> {
+    let n_syms = constraints
+        .iter()
+        .filter_map(|&c| pool.syms_of(c).last())
+        .max()
+        .map_or(0, |&s| s as usize + 1);
+    let mut env = vec![0u64; n_syms];
+    // Free-symbol support of each constraint (the per-term symbol support
+    // is cached in the pool; only the representative mapping is computed
+    // here). Symbols of bound classes get their forced value in `env`.
+    let supports: Vec<Vec<SymId>> = constraints
+        .iter()
+        .map(|&c| {
+            let mut v = Vec::new();
+            for &s in pool.syms_of(c) {
+                let r = prop.find(s);
+                match prop.bound.get(&r) {
+                    Some(&b) => env[s as usize] = b,
+                    None => v.push(r),
+                }
+            }
+            v.sort_unstable();
+            v.dedup();
+            v
+        })
+        .collect();
+    let eval = |env: &[u64], c: TermRef| pool.eval(c, &|id| env[id as usize]);
+    // Constraints whose symbols are all bound are decided by direct
+    // evaluation: the bindings are forced, so a false value here is a
+    // definitive contradiction.
+    for (ci, sup) in supports.iter().enumerate() {
+        if sup.is_empty() && eval(&env, constraints[ci]) != 1 {
+            return Some(SolveResult::Unsat);
+        }
+    }
+    // Union-find over constraint indices via shared symbols.
+    let mut comp: HashMap<SymId, usize> = HashMap::new();
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for (ci, sup) in supports.iter().enumerate() {
+        if sup.is_empty() {
+            continue;
+        }
+        // Find an existing group among this constraint's symbols.
+        let gi = sup
+            .iter()
+            .find_map(|s| comp.get(s).copied())
+            .unwrap_or_else(|| {
+                groups.push(Vec::new());
+                groups.len() - 1
+            });
+        groups[gi].push(ci);
+        for &s in sup {
+            if let Some(&old) = comp.get(&s) {
+                if old != gi {
+                    // Merge: move old group's constraints in.
+                    let moved = std::mem::take(&mut groups[old]);
+                    groups[gi].extend(moved);
+                    for v in comp.values_mut() {
+                        if *v == old {
+                            *v = gi;
+                        }
+                    }
+                }
+            }
+            comp.insert(s, gi);
+        }
+    }
+    let mut partial = Witness::default();
+    for (&r, &v) in &prop.bound {
+        partial.set(r, v);
+    }
+    let mut all_components_solved = true;
+    // (symbol, slot): members whose representative is enumerated.
+    let mut members: Vec<(usize, usize)> = Vec::new();
+    for group in groups.iter().filter(|g| !g.is_empty()) {
+        let mut syms: Vec<SymId> = group
+            .iter()
+            .flat_map(|&ci| supports[ci].iter().copied())
+            .collect();
+        syms.sort_unstable();
+        syms.dedup();
+        if syms.len() > 2 {
+            all_components_solved = false;
+            continue;
+        }
+        let mut lo = [0u64; 2];
+        let mut hi = [0u64; 2];
+        let mut domain: u128 = 1;
+        for (i, &r) in syms.iter().enumerate() {
+            let iv = prop.iv(pool, r);
+            (lo[i], hi[i]) = (iv.lo, iv.hi);
+            domain = domain.saturating_mul((iv.hi - iv.lo) as u128 + 1);
+        }
+        if domain > 4096 {
+            all_components_solved = false;
+            continue;
+        }
+        members.clear();
+        for &ci in group {
+            for &s in pool.syms_of(constraints[ci]) {
+                let r = prop.find(s);
+                if let Some(slot) = syms.iter().position(|&x| x == r) {
+                    members.push((s as usize, slot));
+                }
+            }
+        }
+        members.sort_unstable();
+        members.dedup();
+        let mut assignment = lo;
+        'enumerate: loop {
+            for &(s, slot) in &members {
+                env[s] = assignment[slot];
+            }
+            if group.iter().all(|&ci| eval(&env, constraints[ci]) == 1) {
+                for (&r, &v) in syms.iter().zip(&assignment) {
+                    partial.set(r, v);
+                }
+                break;
+            }
+            let mut i = 0;
+            loop {
+                if i == syms.len() {
+                    return Some(SolveResult::Unsat);
+                }
+                if assignment[i] < hi[i] {
+                    assignment[i] += 1;
+                    continue 'enumerate;
+                }
+                assignment[i] = lo[i];
+                i += 1;
+            }
+        }
+    }
+    if all_components_solved {
+        // Every component got a witness over disjoint symbols: extend the
+        // merge to class members, and verify.
+        let mut w = partial;
+        for &c in constraints {
+            for &s in pool.syms_of(c) {
+                let r = prop.find(s);
+                let v = w.get(r);
+                w.set(s, v);
+            }
+        }
+        if w.satisfies(pool, constraints) {
+            return Some(SolveResult::Sat(w));
+        }
+    }
+    None
 }
 
 /// Shared feasibility caches for one exploration / composition session:
@@ -1349,6 +1378,9 @@ impl SolverCtx {
 }
 
 #[cfg(test)]
+mod enumeration_oracle;
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -1785,6 +1817,27 @@ mod tests {
             cache.stats.solver_queries, queries_before,
             "hot model must answer from the cache"
         );
+    }
+
+    #[test]
+    fn four_free_wide_symbols_do_not_overflow_the_domain() {
+        // One component over four free 32-bit symbols: its domain (2^128
+        // assignments) overflows a u128 product. It is too wide to
+        // enumerate, so the verdict falls to completion, never a panic.
+        let mut p = TermPool::new();
+        let s: Vec<TermRef> = ["a", "b", "c", "d"]
+            .iter()
+            .map(|n| p.fresh_sym(*n, Width::W32))
+            .collect();
+        let ab = p.add(s[0], s[1]);
+        let abc = p.add(ab, s[2]);
+        let sum = p.add(abc, s[3]);
+        let five = p.constant(5, Width::W32);
+        let eq = p.eq(sum, five);
+        if let SolveResult::Sat(w) = solver().check(&p, &[eq]) {
+            assert!(w.satisfies(&p, &[eq]));
+        }
+        assert!(solver().is_feasible(&p, &[eq]));
     }
 
     #[test]
