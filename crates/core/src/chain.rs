@@ -57,9 +57,12 @@
 //! field rendered with symbols renamed by stage identity (not by
 //! compose position) and commutative operands sorted — so the two
 //! operand orders, which intern different `nf1.`/`nf2.` symbol spaces
-//! in different orders, become literally comparable strings. The check
-//! is conservative: a `true` is a proof that the composed behaviour is
-//! identical either way; a `false` merely keeps the pair sequential.
+//! in different orders, become literally comparable strings. Signatures
+//! are rendered only when the two compositions have the same number of
+//! paths: multisets of different sizes cannot be equal, so a firewall and
+//! a router (4 against 13 composed paths) are told apart by a count. The
+//! check is conservative: a `true` is a proof that the composed behaviour
+//! is identical either way; a `false` merely keeps the pair sequential.
 //!
 //! [`Pipeline::parallelize`] runs that check pair-by-pair to partition
 //! a chain into sequential groups of provably-parallel stages, emitting
@@ -788,7 +791,15 @@ pub fn stages_commute(
 ) -> bool {
     let ab = compose_pair(a, b, solver, cache, threads);
     let ba = compose_pair(b, a, solver, cache, threads);
-    contract_signature(&ab, label_a, label_b) == contract_signature(&ba, label_b, label_a)
+    orders_agree(&ab, &ba, label_a, label_b)
+}
+
+/// Whether `ab = compose(a,b)` and `ba = compose(b,a)` have equal
+/// canonical signatures. Different path counts settle it before any
+/// signature is rendered: multisets of different sizes are never equal.
+pub(crate) fn orders_agree(ab: &NfContract, ba: &NfContract, label_a: &str, label_b: &str) -> bool {
+    ab.paths.len() == ba.paths.len()
+        && contract_signature(ab, label_a, label_b) == contract_signature(ba, label_b, label_a)
 }
 
 // ---------------------------------------------------------------------------
@@ -1617,6 +1628,83 @@ mod tests {
         let solver = Solver::default();
         let mut cache = SolverCache::new();
         assert!(!stages_commute(&a, &g, "up", "g", &solver, &mut cache, 1));
+    }
+
+    /// NfOnly contract of a real NF's symbolic body. `bolt_nfs`
+    /// implements the `NetworkFunction` of its own `bolt-core` build, so
+    /// unit tests drive the bodies directly, as each descriptor's
+    /// `sym_process` does.
+    fn nf_contract(
+        reg: nf_lib::registry::DsRegistry,
+        packet_len: u64,
+        body: impl Fn(&mut bolt_see::SymbolicCtx<'_>, dpdk_sim::Mbuf),
+    ) -> NfContract {
+        let result = Explorer::new().explore(|ctx| {
+            dpdk_sim::sym_process_packet(ctx, StackLevel::NfOnly, packet_len, &body)
+        });
+        crate::contract::generate(&reg, result)
+    }
+
+    fn firewall(cfg: bolt_nfs::firewall::FirewallConfig) -> NfContract {
+        let reg = nf_lib::registry::DsRegistry::new();
+        nf_contract(reg, 64, |ctx, mbuf| {
+            bolt_nfs::firewall::process(ctx, &cfg, mbuf)
+        })
+    }
+
+    fn router() -> NfContract {
+        let reg = nf_lib::registry::DsRegistry::new();
+        nf_contract(reg, 128, |ctx, mbuf| {
+            let router = bolt_nfs::static_router::StaticRouterState {
+                table: ctx.alloc_region(32),
+            };
+            bolt_nfs::static_router::process(ctx, &router, mbuf)
+        })
+    }
+
+    fn nat() -> NfContract {
+        use bolt_nfs::nat::{self, AllocKind, NatConfig, NatTableModel};
+        let cfg = NatConfig::default();
+        let mut reg = nf_lib::registry::DsRegistry::new();
+        let ids = nat::register(&mut reg, &cfg, AllocKind::A);
+        nf_contract(reg, 64, |ctx, mbuf| {
+            let mut model = NatTableModel::new(ids, &cfg);
+            let now = nf_lib::clock::ClockModel.now(ctx);
+            nat::process(ctx, &mut model, &cfg, now, mbuf)
+        })
+    }
+
+    #[test]
+    fn path_count_exit_agrees_with_the_full_signature_comparison() {
+        let fw = firewall(Default::default());
+        let strict = firewall(bolt_nfs::firewall::FirewallConfig {
+            rules: vec![(0x0A000000, 8, 22)],
+        });
+        let (rt, nat) = (router(), nat());
+        let solver = Solver::default();
+        let mut cache = SolverCache::new();
+        // (upstream, downstream, labels, path counts differ, commutes):
+        // the two firewalls compose to equally many paths either way, so
+        // their verdict comes from the full comparison.
+        let cases = [
+            (&fw, &rt, "fw", "rt", true, false),
+            (&rt, &fw, "rt", "fw", true, false),
+            (&nat, &fw, "nat", "fw", true, false),
+            (&fw, &strict, "fw", "fw-strict", false, false),
+            (&fw, &fw, "fw", "fw", false, true),
+        ];
+        for (a, b, la, lb, exits, commutes) in cases {
+            let ab = compose_pair(a, b, &solver, &mut cache, 1);
+            let ba = compose_pair(b, a, &solver, &mut cache, 1);
+            assert_eq!(ab.paths.len() != ba.paths.len(), exits, "{la}/{lb}");
+            let full = contract_signature(&ab, la, lb) == contract_signature(&ba, lb, la);
+            assert_eq!(full, commutes, "{la}/{lb}");
+            assert_eq!(
+                stages_commute(a, b, la, lb, &solver, &mut cache, 1),
+                full,
+                "{la}/{lb}: the path-count exit changed the verdict"
+            );
+        }
     }
 
     #[test]

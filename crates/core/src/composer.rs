@@ -24,7 +24,9 @@
 //! attached store (or the process-global registry when composing
 //! storeless): `compose.pairs` / `compose.steps` / `compose.steps_cached`
 //! / `compose.stages_explored` / `compose.stages_cached` counters, the
-//! `compose.wall` latency histogram, and — when planning —
+//! `compose.wall` latency histogram (one sample per fold step and per
+//! planner probe composition, so a plan's own time is only its signature
+//! comparisons and bookkeeping), and — when planning —
 //! `compose.plans`, `compose.plans_cached`, `compose.pairs_checked`,
 //! `compose.pairs_commuting`, plus a `chain.plan` trace event under
 //! `BOLT_TRACE`.
@@ -39,9 +41,7 @@ use bolt_store::ContractStore;
 use bolt_trace::Metric;
 use dpdk_sim::StackLevel;
 
-use crate::chain::{
-    compose_pair, stages_commute, ChainPlan, ChainReport, CommuteWitness, Pipeline,
-};
+use crate::chain::{compose_pair, orders_agree, ChainPlan, ChainReport, CommuteWitness, Pipeline};
 use crate::contract::NfContract;
 use crate::store::{compose_key, level_name, plan_key, Fingerprint, StoreExt};
 
@@ -412,15 +412,15 @@ fn build_plan(
             let identical = keys[mu] == keys[i];
             let commutes = identical || {
                 registry.counter("compose.pairs_checked").inc();
-                stages_commute(
-                    &contracts[mu],
-                    &contracts[i],
-                    &labels[mu],
-                    &labels[i],
-                    solver,
-                    cache,
-                    threads,
-                )
+                // The two probe compositions are composition time; only
+                // the signature comparison is the planner's own.
+                let mut probe = |x: &NfContract, y: &NfContract| {
+                    let _span = registry.histogram("compose.wall").span();
+                    compose_pair(x, y, solver, cache, threads)
+                };
+                let ab = probe(&contracts[mu], &contracts[i]);
+                let ba = probe(&contracts[i], &contracts[mu]);
+                orders_agree(&ab, &ba, &labels[mu], &labels[i])
             };
             if commutes {
                 registry.counter("compose.pairs_commuting").inc();

@@ -1,15 +1,20 @@
 //! Differential test of component enumeration.
 //!
 //! [`reference_components`] is the per-candidate enumerator the solver
-//! used before component enumeration moved to a flat environment: every
-//! candidate assignment builds a fresh witness map holding the enumerated
-//! values and every forced binding, extends it to the class members of the
-//! component's terms, and evaluates through map lookups. It is slow but
-//! obviously faithful to the definition, so it serves as the oracle:
-//! seeded random small components — one or two free symbols of at most
-//! 12 bits, mixed with bound and union-ed symbols, constrained by
-//! `Eq`/`Ult`/`And` over masked fields — must get the same verdict and
-//! the same witness from both.
+//! used before component enumeration moved to a flat environment and a
+//! compiled [`Tape`]: every candidate assignment builds a fresh witness
+//! map holding the enumerated values and every forced binding, extends it
+//! to the class members of the component's terms, and evaluates through
+//! map lookups. It is slow but obviously faithful to the definition, so it
+//! serves as the oracle: seeded random small components — one or two free
+//! symbols of at most 12 bits, mixed with bound and union-ed symbols —
+//! must get the same verdict and the same witness from both. The atoms
+//! use every node kind the tape compiles (`Add`, `Sub`, `Mul`, `And`,
+//! `Or`, `Xor`, `Shl`, `Shr`, `Eq`, `Ne`, `Ult`, `Ule`, `Not`, `Ite`,
+//! `Zext`, `Trunc`) at 8, 16 and 32 bits, because each operator masks by
+//! its operand's width. A second test runs each atom's tape on its own
+//! against [`TermPool::eval`] at random assignments, so an op that is
+//! wrong only where the decision does not hinge on it still shows.
 
 use super::*;
 use proptest::prelude::*;
@@ -243,15 +248,16 @@ fn build(p: &mut TermPool, spec: &ComponentSpec) -> Vec<TermRef> {
     } else {
         (vec![x, u], vec![z, v, u, x])
     };
-    for &(shape, pick, k, m) in atoms {
+    for &(shape, pick, kv, m) in atoms {
         let a = firsts[pick as usize % firsts.len()];
         let b = seconds[(pick as usize / firsts.len()) % seconds.len()];
         // Half the atoms read the whole field, half a masked part of it.
         let mask = p.constant(if m % 2 == 0 { span } else { m as u64 & span }, w);
-        let k = p.constant(k as u64 & span, w);
+        let kv = kv as u64 & span;
+        let k = p.constant(kv, w);
         let fa = p.and(a, mask);
         let fb = p.and(b, mask);
-        let atom = match shape % 6 {
+        let atom = match shape % 15 {
             0 => p.eq(fa, k),
             1 => p.ult(fa, k),
             2 => {
@@ -265,9 +271,75 @@ fn build(p: &mut TermPool, spec: &ComponentSpec) -> Vec<TermRef> {
                 let both = p.and(lt, eq);
                 p.not(both)
             }
-            _ => {
+            5 => {
                 let sum = p.add(fa, fb);
                 p.ult(k, sum)
+            }
+            // Holds only through the 16-bit wrap: `fb - fa == kv + 1`.
+            6 => {
+                let d = p.sub(fa, fb);
+                let neg = p.constant((kv + 1).wrapping_neg(), w);
+                p.eq(d, neg)
+            }
+            // Wraps past 16 bits.
+            7 => {
+                let prod = p.mul(fa, fb);
+                p.ule(prod, k)
+            }
+            8 => {
+                let o = p.or(fa, k);
+                let x = p.xor(fb, k);
+                p.ne(o, x)
+            }
+            // Symbolic shift amounts: holds unless the left shift pushed
+            // bits of `fa` out of the 16-bit field.
+            9 => {
+                let fifteen = p.constant(15, w);
+                let by = p.and(fb, fifteen);
+                let l = p.shl(fa, by);
+                let back = p.shr(l, by);
+                p.eq(back, fa)
+            }
+            // Widened to 32 bits the product no longer wraps.
+            10 => {
+                let wa = p.zext(fa, Width::W32);
+                let wb = p.zext(fb, Width::W32);
+                let prod = p.mul(wa, wb);
+                let k32 = p.constant(kv << 4, Width::W32);
+                p.ult(k32, prod)
+            }
+            // A sum of low bytes, wrapping at 8 bits.
+            11 => {
+                let la = p.trunc(fa, Width::W8);
+                let lb = p.trunc(fb, Width::W8);
+                let sum = p.add(la, lb);
+                let k8 = p.constant(kv & 0xFF, Width::W8);
+                p.ule(sum, k8)
+            }
+            // A selected field's low byte, complemented at 8 bits.
+            12 => {
+                let c = p.ult(fa, k);
+                let sel = p.ite(c, fb, fa);
+                let low = p.trunc(sel, Width::W8);
+                let inv = p.not(low);
+                let k8 = p.constant(kv & 0xFF, Width::W8);
+                p.ult(inv, k8)
+            }
+            // The complement at 32 bits: holds only for `fa == kv`.
+            13 => {
+                let wide = p.zext(fa, Width::W32);
+                let inv = p.not(wide);
+                let want = p.constant(!kv, Width::W32);
+                p.eq(inv, want)
+            }
+            // Through 8, 32 and back to 16 bits.
+            _ => {
+                let low = p.trunc(fa, Width::W8);
+                let wide = p.zext(low, Width::W32);
+                let by = p.constant(kv % 40, Width::W32);
+                let shifted = p.shl(wide, by);
+                let back = p.trunc(shifted, Width::W16);
+                p.eq(back, fb)
             }
         };
         cs.push(atom);
@@ -284,11 +356,13 @@ fn flat_environment_enumeration_matches_the_per_candidate_reference() {
     // through: all three must be exercised for the comparison to mean
     // anything.
     let (mut sat, mut unsat, mut open) = (0, 0, 0);
+    // Sat verdicts whose witness is off the low corner: found by the tape.
+    let mut past_corner = 0;
     for case in 0..400 {
         let spec = strategy.generate(&mut rng);
         let mut p = TermPool::new();
         let cs = build(&mut p, &spec);
-        if let Some(prop) = propagated(&p, &cs) {
+        if let Some(mut prop) = propagated(&p, &cs) {
             let got = decide_components(&p, &cs, &mut prop.clone());
             let want = reference_components(&p, &cs, &mut prop.clone());
             assert_eq!(
@@ -296,7 +370,15 @@ fn flat_environment_enumeration_matches_the_per_candidate_reference() {
                 "case {case}: component phase diverged on {spec:?}"
             );
             match got {
-                Some(SolveResult::Sat(_)) => sat += 1,
+                Some(SolveResult::Sat(w)) => {
+                    sat += 1;
+                    let off_corner = (0..p.sym_count() as SymId).any(|s| {
+                        prop.find(s) == s
+                            && !prop.bound.contains_key(&s)
+                            && w.get(s) != prop.iv(&p, s).lo
+                    });
+                    past_corner += usize::from(off_corner);
+                }
                 Some(_) => unsat += 1,
                 None => open += 1,
             }
@@ -313,7 +395,44 @@ fn flat_environment_enumeration_matches_the_per_candidate_reference() {
         );
     }
     assert!(
-        sat >= 10 && unsat >= 10 && open >= 10,
-        "generator must exercise every outcome: {sat} sat, {unsat} unsat, {open} open"
+        sat >= 10 && unsat >= 10 && open >= 10 && past_corner >= 10,
+        "generator must exercise every outcome: {sat} sat ({past_corner} past the low \
+         corner), {unsat} unsat, {open} open"
     );
+}
+
+#[test]
+fn compiled_tape_agrees_with_the_evaluator_on_every_atom() {
+    let strategy = component_spec();
+    let mut rng = TestRng::deterministic(proptest::name_salt(module_path!()) ^ 1);
+    for case in 0..400 {
+        let spec = strategy.generate(&mut rng);
+        let mut p = TermPool::new();
+        let cs = build(&mut p, &spec);
+        // `x` and `u` share slot 0, `y` takes slot 1; the bound `z` and
+        // `v` sit in the environment, so subterms over them fold.
+        let (x, u, z, v, y) = (0, 1, 2, 3, 4);
+        let members = [(x, 0), (u, 0), (y, 1)];
+        let mut env = vec![0u64; p.sym_count()];
+        env[z] = spec.3 as u64;
+        env[v] = spec.3 as u64;
+        for &c in &cs {
+            let mut tape = Tape::compile(&p, std::iter::once(c), &members, &env);
+            for _ in 0..64 {
+                let assignment = [rng.below(1 << 16), rng.below(1 << 16)];
+                let mut full = env.clone();
+                full[x] = assignment[0];
+                full[u] = assignment[0];
+                if let Some(vy) = full.get_mut(y) {
+                    *vy = assignment[1];
+                }
+                assert_eq!(
+                    tape.holds(&assignment),
+                    p.eval(c, &|id| full[id as usize]) == 1,
+                    "case {case}: tape diverged on {} at {assignment:?}",
+                    p.display(c)
+                );
+            }
+        }
+    }
 }

@@ -674,15 +674,17 @@ impl Solver {
 ///
 /// Evaluation runs against one flat environment indexed by [`SymId`]:
 /// every symbol of the conjunction is resolved once, up front, to the
-/// forced binding of its class (or 0). Before a component is enumerated
-/// its member table lists each member symbol whose representative is
-/// enumerated, with that representative's slot; each candidate assignment
-/// then costs a store per member and a walk of the component's terms —
-/// no allocation, no hashing. Candidates are visited first slot fastest,
-/// each slot from its interval's low end, and the first satisfying one is
-/// the component's witness. That order is part of the solver's output:
-/// returned witnesses become cached models, which answer later probes and
-/// so move [`SolverStats`] and composed contracts if the order changes.
+/// forced binding of its class (or 0). A component's member table lists
+/// each member symbol whose representative is enumerated, with that
+/// representative's slot. The component's low corner is checked first
+/// with the pool's evaluator. Only when it fails are the component's
+/// constraints compiled into a [`Tape`] and the remaining candidates run
+/// through it. Candidates are
+/// visited first slot fastest, each slot from its interval's low end,
+/// and the first satisfying one is the component's witness. That order is
+/// part of the solver's output: returned witnesses become cached models,
+/// which answer later probes and so move [`SolverStats`] and composed
+/// contracts if the order changes.
 ///
 /// Returns `Some` when the components decide the conjunction (`Unsat`, or
 /// `Sat` with a merged, verified witness when every component was
@@ -727,7 +729,7 @@ fn decide_components(
         }
     }
     // Union-find over constraint indices via shared symbols.
-    let mut comp: HashMap<SymId, usize> = HashMap::new();
+    let mut comp: HashMap<SymId, usize, BuildIndexHasher> = HashMap::default();
     let mut groups: Vec<Vec<usize>> = Vec::new();
     for (ci, sup) in supports.iter().enumerate() {
         if sup.is_empty() {
@@ -758,10 +760,8 @@ fn decide_components(
             comp.insert(s, gi);
         }
     }
-    let mut partial = Witness::default();
-    for (&r, &v) in &prop.bound {
-        partial.set(r, v);
-    }
+    // Each enumerated representative's witness value.
+    let mut found: Vec<(SymId, u64)> = Vec::new();
     let mut all_components_solved = true;
     // (symbol, slot): members whose representative is enumerated.
     let mut members: Vec<(usize, usize)> = Vec::new();
@@ -800,34 +800,44 @@ fn decide_components(
         members.sort_unstable();
         members.dedup();
         let mut assignment = lo;
-        'enumerate: loop {
-            for &(s, slot) in &members {
-                env[s] = assignment[slot];
-            }
-            if group.iter().all(|&ci| eval(&env, constraints[ci]) == 1) {
-                for (&r, &v) in syms.iter().zip(&assignment) {
-                    partial.set(r, v);
-                }
-                break;
-            }
-            let mut i = 0;
+        for &(s, slot) in &members {
+            env[s] = assignment[slot];
+        }
+        if !group.iter().all(|&ci| eval(&env, constraints[ci]) == 1) {
+            let roots = group.iter().map(|&ci| constraints[ci]);
+            let mut tape = Tape::compile(pool, roots, &members, &env);
             loop {
-                if i == syms.len() {
-                    return Some(SolveResult::Unsat);
+                // The next candidate, slot 0 fastest; past the last one
+                // the component is an unsat core.
+                let mut i = 0;
+                loop {
+                    if i == syms.len() {
+                        return Some(SolveResult::Unsat);
+                    }
+                    if assignment[i] < hi[i] {
+                        assignment[i] += 1;
+                        break;
+                    }
+                    assignment[i] = lo[i];
+                    i += 1;
                 }
-                if assignment[i] < hi[i] {
-                    assignment[i] += 1;
-                    continue 'enumerate;
+                if tape.holds(&assignment) {
+                    break;
                 }
-                assignment[i] = lo[i];
-                i += 1;
             }
         }
+        found.extend(syms.iter().copied().zip(assignment));
     }
     if all_components_solved {
-        // Every component got a witness over disjoint symbols: extend the
-        // merge to class members, and verify.
-        let mut w = partial;
+        // Every component got a witness over disjoint symbols: merge them
+        // with the forced bindings, extend to class members, and verify.
+        let mut w = Witness::default();
+        for (&r, &v) in &prop.bound {
+            w.set(r, v);
+        }
+        for &(r, v) in &found {
+            w.set(r, v);
+        }
         for &c in constraints {
             for &s in pool.syms_of(c) {
                 let r = prop.find(s);
@@ -840,6 +850,201 @@ fn decide_components(
         }
     }
     None
+}
+
+/// Hashing for the component phase's maps. Their keys are dense arena
+/// indices ([`SymId`], [`TermRef`]), which one multiply spreads at a
+/// fraction of the default hasher's cost.
+type BuildIndexHasher = std::hash::BuildHasherDefault<IndexHasher>;
+
+#[derive(Default)]
+struct IndexHasher(u64);
+
+impl std::hash::Hasher for IndexHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32(b.into());
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.0 = (self.0 ^ u64::from(n)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+/// One instruction of a [`Tape`]. Operands are register indices; `mask`
+/// is the operand width's mask.
+#[derive(Clone, Copy, Debug)]
+enum Op {
+    /// An enumerated slot's value, masked to the member symbol's width.
+    Load { slot: usize, mask: u64 },
+    /// Bitwise complement.
+    Not { a: usize, mask: u64 },
+    /// A binary operator.
+    Bin {
+        op: BinOp,
+        a: usize,
+        b: usize,
+        mask: u64,
+    },
+    /// If-then-else (both arms are already computed; all ops are total).
+    Ite { c: usize, t: usize, e: usize },
+    /// Truncation: keep the bits under `mask`.
+    Trunc { a: usize, mask: u64 },
+    /// A constraint root: the candidate fails unless the operand is 1.
+    Check { a: usize },
+}
+
+/// A component's constraints compiled to straight-line code over a
+/// register file. Nodes that depend on no enumerated slot are folded into
+/// constant registers once, at compile time, against the forced bindings
+/// in `env`; every other node becomes one [`Op`] whose result lands in its
+/// own register, children before parents, each shared subterm once.
+///
+/// Every register holds its node's value masked to the node's width, so
+/// zero-extension needs no op (a `Zext` node reuses its operand's
+/// register) and the operators need no operand masking: each op computes
+/// exactly what [`BinOp::apply`] / [`UnOp::apply`] compute on masked
+/// operands, which is [`TermPool::eval`]'s semantics.
+#[derive(Debug)]
+struct Tape {
+    regs: Vec<u64>,
+    /// `(destination register, op)`; a `Check` writes nothing.
+    code: Vec<(usize, Op)>,
+}
+
+impl Tape {
+    /// Compile `roots` (checked in order) for the component whose
+    /// enumerated member symbols are `members`, `(symbol, slot)` sorted
+    /// by symbol.
+    fn compile(
+        pool: &TermPool,
+        roots: impl Iterator<Item = TermRef>,
+        members: &[(usize, usize)],
+        env: &[u64],
+    ) -> Tape {
+        let mut tape = Tape {
+            regs: Vec::new(),
+            code: Vec::new(),
+        };
+        let mut seen: HashMap<TermRef, usize, BuildIndexHasher> = HashMap::default();
+        for root in roots {
+            let a = tape.reg(pool, root, members, env, &mut seen);
+            tape.code.push((usize::MAX, Op::Check { a }));
+        }
+        tape
+    }
+
+    /// The register holding `t`'s value, emitting whatever computes it.
+    fn reg(
+        &mut self,
+        pool: &TermPool,
+        t: TermRef,
+        members: &[(usize, usize)],
+        env: &[u64],
+        seen: &mut HashMap<TermRef, usize, BuildIndexHasher>,
+    ) -> usize {
+        if let Some(&r) = seen.get(&t) {
+            return r;
+        }
+        let slot_of = |s: SymId| {
+            members
+                .binary_search_by_key(&(s as usize), |&(m, _)| m)
+                .ok()
+                .map(|i| members[i].1)
+        };
+        let r = if pool.syms_of(t).iter().all(|&s| slot_of(s).is_none()) {
+            self.regs.push(pool.eval(t, &|id| env[id as usize]));
+            self.regs.len() - 1
+        } else {
+            let op = match *pool.get(t) {
+                Term::Sym { id, width } => Op::Load {
+                    slot: slot_of(id).expect("a dependent symbol is a member"),
+                    mask: width.mask(),
+                },
+                Term::Unop { op: UnOp::Not, a } => Op::Not {
+                    a: self.reg(pool, a, members, env, seen),
+                    mask: pool.width(a).mask(),
+                },
+                Term::Binop { op, a, b } => Op::Bin {
+                    op,
+                    a: self.reg(pool, a, members, env, seen),
+                    b: self.reg(pool, b, members, env, seen),
+                    mask: pool.width(a).mask(),
+                },
+                Term::Ite { c, t, e } => Op::Ite {
+                    c: self.reg(pool, c, members, env, seen),
+                    t: self.reg(pool, t, members, env, seen),
+                    e: self.reg(pool, e, members, env, seen),
+                },
+                Term::Zext { a, .. } => {
+                    let r = self.reg(pool, a, members, env, seen);
+                    seen.insert(t, r);
+                    return r;
+                }
+                Term::Trunc { a, width } => Op::Trunc {
+                    a: self.reg(pool, a, members, env, seen),
+                    mask: width.mask(),
+                },
+                Term::Const { .. } => unreachable!("constants depend on no symbol"),
+            };
+            self.regs.push(0);
+            self.code.push((self.regs.len() - 1, op));
+            self.regs.len() - 1
+        };
+        seen.insert(t, r);
+        r
+    }
+
+    /// Whether every root evaluates to 1 under `assignment`, stopping at
+    /// the first that does not.
+    fn holds(&mut self, assignment: &[u64; 2]) -> bool {
+        let regs = &mut self.regs;
+        for &(dst, op) in &self.code {
+            regs[dst] = match op {
+                Op::Load { slot, mask } => assignment[slot] & mask,
+                Op::Not { a, mask } => !regs[a] & mask,
+                Op::Bin { op, a, b, mask } => {
+                    let (x, y) = (regs[a], regs[b]);
+                    match op {
+                        BinOp::Add => x.wrapping_add(y) & mask,
+                        BinOp::Sub => x.wrapping_sub(y) & mask,
+                        BinOp::Mul => x.wrapping_mul(y) & mask,
+                        BinOp::And => x & y,
+                        BinOp::Or => x | y,
+                        BinOp::Xor => x ^ y,
+                        // A shift by the width or more clears every bit.
+                        BinOp::Shl | BinOp::Shr if y >= u64::from(mask.count_ones()) => 0,
+                        BinOp::Shl => (x << y) & mask,
+                        BinOp::Shr => x >> y,
+                        BinOp::Eq => (x == y) as u64,
+                        BinOp::Ne => (x != y) as u64,
+                        BinOp::Ult => (x < y) as u64,
+                        BinOp::Ule => (x <= y) as u64,
+                    }
+                }
+                Op::Ite { c, t, e } => {
+                    if regs[c] != 0 {
+                        regs[t]
+                    } else {
+                        regs[e]
+                    }
+                }
+                Op::Trunc { a, mask } => regs[a] & mask,
+                Op::Check { a } => {
+                    if regs[a] != 1 {
+                        return false;
+                    }
+                    continue;
+                }
+            };
+        }
+        true
+    }
 }
 
 /// Shared feasibility caches for one exploration / composition session:

@@ -124,6 +124,9 @@ mod tests {
         assert_eq!(r.addr(65), r.base + 65);
     }
 
+    // `MemRegion::addr` bounds-checks with `debug_assert!` only, so the
+    // panic exists in debug builds alone.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic]
     fn out_of_bounds_offset_panics_in_debug() {
