@@ -18,13 +18,6 @@
 //! harness fail unless every chain was served fully warm: zero stage
 //! explorations, zero fold steps composed, zero compose solver requests.
 //!
-//! With `BOLT_THREADS=n` (n > 1) and no store, every scenario runs both
-//! sequentially and on `n` compose workers; the harness *asserts* that
-//! the composed contract bytes and the compose-side solver counters are
-//! identical (the parallel committer replays the sequential schedule),
-//! and prints the seq-vs-parallel wall-clock ratio for the trajectory
-//! log — the only machine-dependent number in the output.
-//!
 //! The harness also plans the 3-stage chain (`Pipeline::parallelize`)
 //! and records the planned-vs-sequential *predicted* cycle contract —
 //! max-of-group + merge against the sequential sum — a fully
@@ -36,8 +29,7 @@ use std::time::Instant;
 
 use bolt_bench::table_fmt::print_table;
 use bolt_core::chain::ChainReport;
-use bolt_core::nf::ambient_threads;
-use bolt_core::{encode_contract, encode_plan, Pipeline};
+use bolt_core::Pipeline;
 use bolt_expr::PcvAssignment;
 use bolt_nfs::{Firewall, StaticRouter};
 use dpdk_sim::StackLevel;
@@ -45,9 +37,8 @@ use dpdk_sim::StackLevel;
 struct Scenario {
     name: &'static str,
     /// Builds the pipeline fresh (pipelines are cheap descriptor bags)
-    /// and runs one store-aware chain composition on the given
-    /// worker-thread count.
-    run: Box<dyn Fn(usize) -> ChainReport>,
+    /// and runs one store-aware chain composition.
+    run: Box<dyn Fn() -> ChainReport>,
 }
 
 fn scenario(
@@ -57,12 +48,7 @@ fn scenario(
 ) -> Scenario {
     Scenario {
         name,
-        run: Box::new(move |threads| {
-            build()
-                .threads(threads)
-                .report(level)
-                .expect("non-empty chain")
-        }),
+        run: Box::new(move || build().report(level).expect("non-empty chain")),
     }
 }
 
@@ -83,7 +69,6 @@ fn main() {
     let quick = std::env::var("BOLT_BENCH_QUICK").is_ok();
     let expect_cached = std::env::var("BOLT_BENCH_EXPECT_ALL_CACHED").is_ok();
     let store_active = std::env::var_os("BOLT_STORE_DIR").is_some();
-    let threads = ambient_threads();
     let iters = if quick { 1 } else { 25 };
 
     let scenarios = vec![
@@ -94,13 +79,12 @@ fn main() {
     ];
 
     let mut rows = Vec::new();
-    let mut par_rows = Vec::new();
     let mut scen_json = Vec::new();
     let mut cold_work = 0u64;
     for s in &scenarios {
         // Warm-up + counter collection (counters are identical per run
         // shape; a store flips them from "composed" to "cached").
-        let rep = (s.run)(threads);
+        let rep = (s.run)();
         if expect_cached && !rep.fully_cached() {
             panic!(
                 "{}: BOLT_BENCH_EXPECT_ALL_CACHED is set but the chain did real work \
@@ -109,43 +93,9 @@ fn main() {
             );
         }
         cold_work += (rep.stages_explored + rep.steps_composed) as u64;
-        if threads > 1 && !store_active {
-            // Machine-independent parity gate: the parallel committer
-            // replays the sequential solver schedule, so the composed
-            // contract bytes and every compose counter must match the
-            // sequential run exactly.
-            let seq = (s.run)(1);
-            assert_eq!(
-                encode_contract(&seq.contract),
-                encode_contract(&rep.contract),
-                "{}: composed contract diverged between 1 and {threads} threads",
-                s.name
-            );
-            assert_eq!(
-                seq.solver, rep.solver,
-                "{}: compose solver counters diverged between 1 and {threads} threads",
-                s.name
-            );
-            let t0 = Instant::now();
-            for _ in 0..iters {
-                let _ = (s.run)(1);
-            }
-            let seq_ms = t0.elapsed().as_secs_f64() / iters as f64 * 1e3;
-            let t0 = Instant::now();
-            for _ in 0..iters {
-                let _ = (s.run)(threads);
-            }
-            let par_ms = t0.elapsed().as_secs_f64() / iters as f64 * 1e3;
-            par_rows.push(vec![
-                s.name.to_string(),
-                format!("{seq_ms:.2}"),
-                format!("{par_ms:.2}"),
-                format!("{:.2}x", seq_ms / par_ms.max(1e-9)),
-            ]);
-        }
         let t0 = Instant::now();
         for _ in 0..iters {
-            let _ = (s.run)(threads);
+            let _ = (s.run)();
         }
         let elapsed = t0.elapsed().as_secs_f64() / iters as f64;
         let source = if rep.fully_cached() {
@@ -196,7 +146,7 @@ fn main() {
         ));
     }
     print_table(
-        "chain_micro — store-aware parallel chain composition",
+        "chain_micro — store-aware chain composition",
         &[
             "scenario",
             "source",
@@ -216,19 +166,6 @@ fn main() {
          A warm run (second process against the same BOLT_STORE_DIR) decodes\n\
          composed records instead: both columns drop to zero."
     );
-    if !par_rows.is_empty() {
-        print_table(
-            &format!("chain_micro — seq vs {threads} compose workers"),
-            &["scenario", "ms/seq", "ms/par", "speedup"],
-            &par_rows,
-        );
-        println!(
-            "parallel determinism check passed: composed contract bytes and \
-             compose solver counters are identical at 1 and {threads} threads \
-             for all {} scenarios; the speedup column is wall-clock only",
-            scenarios.len()
-        );
-    }
     if store_active {
         println!(
             "store: {cold_work} stage explorations + fold compositions ran during \
@@ -245,26 +182,14 @@ fn main() {
     // Parallelization plan point: the 3-stage chain holds a provably
     // commuting firewall pair, so the planned cycle contract
     // (max-of-group + merge) must beat the sequential sum. Predicted
-    // cycles are machine-independent; the plan itself must be identical
-    // at any worker count.
+    // cycles are machine-independent.
     let env = PcvAssignment::new();
     let mut plan_rows = Vec::new();
     let mut plan_json = Vec::new();
     for level in [StackLevel::NfOnly, StackLevel::FullStack] {
         let name = format!("fw->fw->rt/{level:?}");
-        let rep = fw_fw_rt()
-            .threads(threads)
-            .parallelize(level)
-            .expect("non-empty chain");
+        let rep = fw_fw_rt().parallelize(level).expect("non-empty chain");
         let plan = rep.plan.as_ref().expect("parallelize attaches a plan");
-        if threads > 1 && !store_active {
-            let seq = fw_fw_rt().threads(1).parallelize(level).unwrap();
-            assert_eq!(
-                encode_plan(seq.plan.as_ref().unwrap()),
-                encode_plan(plan),
-                "{name}: plan diverged between 1 and {threads} threads"
-            );
-        }
         let seq_cy = plan.sequential_cycles(&env);
         let par_cy = plan.parallel_cycles(&env);
         assert!(
@@ -296,7 +221,7 @@ fn main() {
     );
 
     let json = format!(
-        "{{\n\"threads\": {threads},\n\"scenarios\": [\n  {}\n],\n\"plan\": [\n  {}\n]\n}}\n",
+        "{{\n\"scenarios\": [\n  {}\n],\n\"plan\": [\n  {}\n]\n}}\n",
         scen_json.join(",\n  "),
         plan_json.join(",\n  ")
     );

@@ -20,19 +20,11 @@
 //! with `BOLT_BENCH_EXPECT_ALL_CACHED=1` on the second run, which makes
 //! the harness fail unless every scenario was served from the store with
 //! zero explorations.
-//!
-//! With `BOLT_THREADS=n` (n > 1), every scenario additionally runs both
-//! sequentially and on `n` exploration workers; the harness *asserts*
-//! that the full solver-counter block is identical (parallel
-//! exploration replays the sequential cache schedule — the counts are
-//! machine-independent, like `tests/explore_stats.rs`) and prints a
-//! seq-vs-parallel wall-clock table for the trajectory log. The
-//! speedup column is the only machine-dependent number in the output.
 
 use std::time::Instant;
 
 use bolt_bench::table_fmt::print_table;
-use bolt_core::nf::{ambient_threads, Bolt, NetworkFunction};
+use bolt_core::nf::{Bolt, NetworkFunction};
 use bolt_nfs::nat::{AllocKind, Nat, NatConfig};
 use bolt_nfs::{Bridge, LpmRouter};
 use bolt_see::ExploreStats;
@@ -40,32 +32,29 @@ use dpdk_sim::StackLevel;
 
 struct Scenario {
     name: &'static str,
-    /// Runs one exploration on the given worker-thread count
-    /// (store-aware when `BOLT_STORE_DIR` is set); returns the stats
-    /// plus whether the result came from the store.
-    run: Box<dyn Fn(usize) -> (ExploreStats, bool)>,
+    /// Runs one exploration (store-aware when `BOLT_STORE_DIR` is set);
+    /// returns the stats plus whether the result came from the store.
+    run: Box<dyn Fn() -> (ExploreStats, bool)>,
 }
 
-fn scenario<N: NetworkFunction + Clone + Sync + 'static>(
+fn scenario<N: NetworkFunction + Clone + 'static>(
     name: &'static str,
     nf: N,
     level: StackLevel,
 ) -> Scenario {
     Scenario {
         name,
-        run: Box::new(
-            move |threads /* fresh exploration (or store hit) per call */| {
-                let e = Bolt::nf(nf.clone()).threads(threads).explore(level);
-                (e.result.stats, e.cached)
-            },
-        ),
+        run: Box::new(move || {
+            // Fresh exploration (or store hit) per call.
+            let e = Bolt::nf(nf.clone()).explore(level);
+            (e.result.stats, e.cached)
+        }),
     }
 }
 
 fn main() {
     let quick = std::env::var("BOLT_BENCH_QUICK").is_ok();
     let expect_cached = std::env::var("BOLT_BENCH_EXPECT_ALL_CACHED").is_ok();
-    let threads = ambient_threads();
     let iters = if quick { 1 } else { 25 };
     let mut explorations = 0u64;
 
@@ -102,10 +91,9 @@ fn main() {
     ];
 
     let mut rows = Vec::new();
-    let mut par_rows = Vec::new();
     for s in &scenarios {
         // Warm-up + stats collection (stats are identical every run).
-        let (stats, cached) = (s.run)(threads);
+        let (stats, cached) = (s.run)();
         if expect_cached && !cached {
             panic!(
                 "{}: BOLT_BENCH_EXPECT_ALL_CACHED is set but the scenario \
@@ -114,44 +102,11 @@ fn main() {
             );
         }
         explorations += u64::from(!cached);
-        let elapsed = if threads > 1 {
-            // Machine-independent parity gate: the parallel committer
-            // replays the sequential solver schedule, so every counter —
-            // requests, full solves, memo/witness hits, interned terms —
-            // must match the sequential run exactly.
-            let (seq_stats, _) = (s.run)(1);
-            assert_eq!(
-                seq_stats, stats,
-                "{}: exploration stats diverged between 1 and {threads} threads",
-                s.name
-            );
-            let t0 = Instant::now();
-            for _ in 0..iters {
-                let _ = (s.run)(1);
-            }
-            let seq_ms = t0.elapsed().as_secs_f64() / iters as f64 * 1e3;
-            let t0 = Instant::now();
-            for _ in 0..iters {
-                let _ = (s.run)(threads);
-            }
-            // The parallel timing doubles as the main table's
-            // ms/explore — no third timing loop.
-            let par = t0.elapsed().as_secs_f64() / iters as f64;
-            let par_ms = par * 1e3;
-            par_rows.push(vec![
-                s.name.to_string(),
-                format!("{seq_ms:.2}"),
-                format!("{par_ms:.2}"),
-                format!("{:.2}x", seq_ms / par_ms.max(1e-9)),
-            ]);
-            par
-        } else {
-            let t0 = Instant::now();
-            for _ in 0..iters {
-                let _ = (s.run)(threads);
-            }
-            t0.elapsed().as_secs_f64() / iters as f64
-        };
+        let t0 = Instant::now();
+        for _ in 0..iters {
+            let _ = (s.run)();
+        }
+        let elapsed = t0.elapsed().as_secs_f64() / iters as f64;
         let paths_per_sec = stats.runs as f64 / elapsed.max(1e-9);
         let sv = stats.solver;
         let reduction = if sv.solver_queries == 0 {
@@ -210,20 +165,6 @@ fn main() {
          feasibility request); `queries` is what the incremental engine still\n\
          runs. Exploration output is bit-identical either way."
     );
-    if threads > 1 {
-        print_table(
-            &format!("explore_micro — seq vs {threads} exploration workers"),
-            &["scenario", "ms/seq", "ms/par", "speedup"],
-            &par_rows,
-        );
-        println!(
-            "parallel determinism check passed: solver counters (requests, \
-             queries, memo/witness hits) and interned-term counts are \
-             identical at 1 and {threads} threads for all {} scenarios; \
-             the speedup column is wall-clock only",
-            scenarios.len()
-        );
-    }
     if std::env::var_os("BOLT_STORE_DIR").is_some() {
         println!(
             "store: {} of {} scenarios explored fresh during warm-up \

@@ -13,27 +13,7 @@
 //! into a joint pool, remapping every symbol to a fresh one prefixed by
 //! the NF's name.
 //!
-//! The public front door is [`crate::composer::Composer`]; the free
-//! functions [`compose`]/[`compose_with`] and the associated
-//! [`Pipeline::compose_all`]/[`Pipeline::compose_all_with`] remain as
-//! deprecated parity shims.
-//!
-//! # Parallel composition
-//!
-//! With `threads > 1`, composition fans the upstream×downstream
-//! cross-product out over a worker pool in the same
-//! speculate-then-commit shape as the parallel path explorer: each
-//! worker composes one upstream path against every downstream candidate
-//! using a *private* [`TermPool`] and private solver state, and a
-//! sequential committer absorbs each private pool into the shared one
-//! (deterministic re-intern via [`TermPool::absorb_with`], symbols
-//! resolved by name) and *replays* the worker's assert/probe schedule
-//! against the shared [`SolverCache`]. Composed path order, constraint
-//! terms, verdicts, metrics, and [`SolverStats`] counters are therefore
-//! byte-equal at any thread count (speculative feasibility verdicts are
-//! classification-identical to the replay — `Unsat` comes only from the
-//! deterministic propagation/enumeration half of the solver — and the
-//! committer hard-asserts the agreement).
+//! The public front door is [`crate::composer::Composer`].
 //!
 //! # Memoized composition
 //!
@@ -72,9 +52,6 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
 
 use bolt_expr::{BinOp, PcvAssignment, PerfExpr, Term, TermPool, TermRef, UnOp};
 use bolt_see::symbolic::PacketField;
@@ -161,311 +138,16 @@ fn add_perf(a: &[PerfExpr; 3], b: &[PerfExpr; 3]) -> [PerfExpr; 3] {
     [a[0].add(&b[0]), a[1].add(&b[1]), a[2].add(&b[2])]
 }
 
-/// Everything composing one upstream path produces, expressed in the
-/// refs of whichever pool [`compose_one`] ran against (the shared pool
-/// in the sequential fold, a worker-private pool under speculation).
-enum PaBody {
-    /// The upstream path ends the packet: the pair is the path alone.
-    Terminal {
-        constraints: Vec<TermRef>,
-        packet_fields: Vec<(u64, u8, TermRef)>,
-    },
-    /// The upstream path forwards: one entry per downstream candidate.
-    Forwarding {
-        ca: Vec<TermRef>,
-        pairs: Vec<PairSpec>,
-    },
-}
-
-/// One upstream×downstream candidate pair.
-struct PairSpec {
-    /// Downstream path index.
-    bi: usize,
-    /// Constraints beyond `ca`: the migrated downstream constraints plus
-    /// the input/output link equalities (`cs = ca ++ tail`).
-    tail: Vec<TermRef>,
-    /// Feasibility verdict. Speculative when produced by a worker; the
-    /// committer's shared-cache replay re-derives it and hard-asserts
-    /// agreement.
-    feasible: bool,
-    /// Composed-path fields, recorded only for feasible pairs (the
-    /// sequential fold migrates them only then, and term-intern order
-    /// must match exactly).
-    packet_fields: Vec<(u64, u8, TermRef)>,
-    final_packet: Vec<(u64, u8, TermRef)>,
-}
-
-/// Compose one upstream path against every downstream path. This single
-/// body serves both engines — the sequential fold calls it against the
-/// shared pool/migrators/cache, speculation workers against private ones
-/// — so the operation (and term-intern) order cannot drift between them.
-///
-/// The upstream constraints are asserted once into an incremental
-/// [`SolverCtx`]; every downstream candidate extends that saved state
-/// under a push/pop checkpoint, with verdicts and models memoised in the
-/// given [`SolverCache`].
-fn compose_one(
-    pool: &mut TermPool,
-    mig_a: &mut Migrator<'_>,
-    mig_b: &mut Migrator<'_>,
-    pa: &PathContract,
-    second: &NfContract,
-    solver: &Solver,
-    cache: &mut SolverCache,
-) -> PaBody {
-    let ca: Vec<TermRef> = pa
-        .constraints
-        .iter()
-        .map(|&t| mig_a.migrate(pool, t))
-        .collect();
-    let forwards = matches!(
-        pa.verdict,
-        Some(NfVerdict::Forward(_)) | Some(NfVerdict::Flood)
-    );
-    if !forwards {
-        // The packet dies here: the pair is the upstream path alone.
-        let packet_fields = pa
-            .packet_fields
-            .iter()
-            .map(|f| (f.offset, f.bytes, mig_a.migrate(pool, f.term)))
-            .collect();
-        return PaBody::Terminal {
-            constraints: ca,
-            packet_fields,
-        };
-    }
-    // Output packet state of the upstream path, migrated.
-    let out_fields: Vec<(u64, u8, TermRef)> = pa
-        .final_packet
-        .iter()
-        .map(|&(o, b, t)| (o, b, mig_a.migrate(pool, t)))
-        .collect();
-    let in_fields: Vec<(u64, u8, TermRef)> = pa
-        .packet_fields
-        .iter()
-        .map(|f| (f.offset, f.bytes, mig_a.migrate(pool, f.term)))
-        .collect();
-    // The upstream constraints are asserted once; every downstream
-    // candidate extends this saved state under a checkpoint.
-    let mut upstream = SolverCtx::new(solver);
-    for &c in &ca {
-        upstream.assert_term(pool, c);
-    }
-    let mut pairs = Vec::new();
-    for (bi, pb) in second.paths.iter().enumerate() {
-        let mut tail: Vec<TermRef> = pb
-            .constraints
-            .iter()
-            .map(|&t| mig_b.migrate(pool, t))
-            .collect();
-        // Link: the downstream NF's input fields equal the upstream
-        // NF's output (written value if any, else the pass-through
-        // input symbol).
-        for f in &pb.packet_fields {
-            let downstream = mig_b.migrate(pool, f.term);
-            let up = out_fields
-                .iter()
-                .find(|&&(o, b, _)| o == f.offset && b == f.bytes)
-                .or_else(|| {
-                    in_fields
-                        .iter()
-                        .find(|&&(o, b, _)| o == f.offset && b == f.bytes)
-                })
-                .map(|&(_, _, t)| t);
-            if let Some(u) = up {
-                tail.push(pool.eq(downstream, u));
-            }
-        }
-        upstream.push();
-        for &c in &tail {
-            upstream.assert_term(pool, c);
-        }
-        let feasible = upstream.current_feasible(pool, cache);
-        upstream.pop();
-        let (packet_fields, final_packet) = if feasible {
-            // The chain's input fields are the first NF's inputs, plus
-            // any field the second NF reads that passed through the
-            // first NF untouched (it is still free chain input).
-            let mut pf: Vec<(u64, u8, TermRef)> = pa
-                .packet_fields
-                .iter()
-                .map(|f| (f.offset, f.bytes, mig_a.migrate(pool, f.term)))
-                .collect();
-            for f in &pb.packet_fields {
-                let nf1_touched = out_fields
-                    .iter()
-                    .any(|&(o, b, _)| o == f.offset && b == f.bytes)
-                    || in_fields
-                        .iter()
-                        .any(|&(o, b, _)| o == f.offset && b == f.bytes);
-                if !nf1_touched {
-                    pf.push((f.offset, f.bytes, mig_b.migrate(pool, f.term)));
-                }
-            }
-            // The chain's final packet: the second NF's writes overlay
-            // the first NF's final state.
-            let mut fpk: Vec<(u64, u8, TermRef)> = out_fields.clone();
-            for &(o, b, t) in &pb.final_packet {
-                let t = mig_b.migrate(pool, t);
-                if let Some(slot) = fpk.iter_mut().find(|(fo, fb, _)| *fo == o && *fb == b) {
-                    slot.2 = t;
-                } else {
-                    fpk.push((o, b, t));
-                }
-            }
-            (pf, fpk)
-        } else {
-            (Vec::new(), Vec::new())
-        };
-        pairs.push(PairSpec {
-            bi,
-            tail,
-            feasible,
-            packet_fields,
-            final_packet,
-        });
-    }
-    PaBody::Forwarding { ca, pairs }
-}
-
-/// Turn one upstream path's composed body into [`PathContract`]s.
-/// Shared by the sequential fold and the parallel committer (which calls
-/// it after remapping the body into the shared pool), so composed path
-/// order and content are engine-independent.
-fn push_paths(
-    paths: &mut Vec<PathContract>,
-    pool: &TermPool,
-    pa: &PathContract,
-    second: &NfContract,
-    body: PaBody,
-) {
-    match body {
-        PaBody::Terminal {
-            constraints,
-            packet_fields,
-        } => {
-            paths.push(PathContract {
-                index: paths.len(),
-                constraints,
-                tags: pa.tags.clone(),
-                verdict: pa.verdict,
-                perf: pa.perf.clone(),
-                packet_fields: packet_fields
-                    .iter()
-                    .filter_map(|&(o, b, t)| field_of(pool, o, b, t))
-                    .collect(),
-                final_packet: Vec::new(),
-            });
-        }
-        PaBody::Forwarding { ca, pairs } => {
-            for pair in pairs {
-                if !pair.feasible {
-                    continue;
-                }
-                let pb = &second.paths[pair.bi];
-                let mut constraints = ca.clone();
-                constraints.extend(pair.tail.iter().copied());
-                let mut tags = pa.tags.clone();
-                tags.extend(pb.tags.iter().copied());
-                paths.push(PathContract {
-                    index: paths.len(),
-                    constraints,
-                    tags,
-                    verdict: pb.verdict,
-                    perf: add_perf(&pa.perf, &pb.perf),
-                    packet_fields: pair
-                        .packet_fields
-                        .iter()
-                        .filter_map(|&(o, b, t)| field_of(pool, o, b, t))
-                        .collect(),
-                    final_packet: pair.final_packet,
-                });
-            }
-        }
-    }
-}
-
-/// Remap every term ref in a body through an absorb table.
-fn remap_body(body: PaBody, map: &[TermRef]) -> PaBody {
-    let r = |t: TermRef| map[t.index()];
-    let rv = |v: Vec<TermRef>| v.into_iter().map(r).collect();
-    let rf = |v: Vec<(u64, u8, TermRef)>| v.into_iter().map(|(o, b, t)| (o, b, r(t))).collect();
-    match body {
-        PaBody::Terminal {
-            constraints,
-            packet_fields,
-        } => PaBody::Terminal {
-            constraints: rv(constraints),
-            packet_fields: rf(packet_fields),
-        },
-        PaBody::Forwarding { ca, pairs } => PaBody::Forwarding {
-            ca: rv(ca),
-            pairs: pairs
-                .into_iter()
-                .map(|p| PairSpec {
-                    bi: p.bi,
-                    tail: rv(p.tail),
-                    feasible: p.feasible,
-                    packet_fields: rf(p.packet_fields),
-                    final_packet: rf(p.final_packet),
-                })
-                .collect(),
-        },
-    }
-}
-
-/// Compose two contracts into the contract of `first → second`.
+/// Compose two contracts into the contract of `first → second`: the
+/// body behind every [`Composer`] operation.
 ///
 /// Both NFs must have been registered against the *same*
-/// [`nf_lib::registry::DsRegistry`]
-/// (or be stateless) so that PCV ids agree in the summed expressions.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Composer::new(&solver).compose(first, second)`"
-)]
-pub fn compose(first: &NfContract, second: &NfContract, solver: &Solver) -> NfContract {
-    let mut cache = SolverCache::new();
-    compose_pair(first, second, solver, &mut cache, 1)
-}
-
-/// [`compose`] with an explicit feasibility cache and worker-thread
-/// count.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Composer::new(&solver).cache(cache).threads(n).compose(first, second)`"
-)]
-pub fn compose_with(
-    first: &NfContract,
-    second: &NfContract,
-    solver: &Solver,
-    cache: &mut SolverCache,
-    threads: usize,
-) -> NfContract {
-    compose_pair(first, second, solver, cache, threads)
-}
-
-/// The one true pairwise composition: shared by the [`Composer`] front
-/// door and the deprecated [`compose`]/[`compose_with`] shims, so shim
-/// parity is by construction. Output — composed path order, constraint
-/// terms, verdicts, metrics, and the cache's stats counters — is
-/// bit-identical at any thread count.
+/// [`nf_lib::registry::DsRegistry`] (or be stateless) so that PCV ids
+/// agree in the summed expressions. Each upstream path's constraints are
+/// asserted once into an incremental [`SolverCtx`]; every downstream
+/// candidate extends that saved state under a push/pop checkpoint, with
+/// verdicts and models memoised in `cache`.
 pub(crate) fn compose_pair(
-    first: &NfContract,
-    second: &NfContract,
-    solver: &Solver,
-    cache: &mut SolverCache,
-    threads: usize,
-) -> NfContract {
-    if threads <= 1 {
-        return compose_seq(first, second, solver, cache);
-    }
-    compose_par(first, second, solver, cache, threads)
-}
-
-/// The sequential cross-product fold: one shared pool, shared migrators,
-/// pair-compatibility checks on an incremental [`SolverCtx`] against the
-/// shared cache.
-fn compose_seq(
     first: &NfContract,
     second: &NfContract,
     solver: &Solver,
@@ -476,165 +158,135 @@ fn compose_seq(
     let mut mig_a = Migrator::new(&first.pool, "nf1");
     let mut mig_b = Migrator::new(&second.pool, "nf2");
     for pa in &first.paths {
-        let body = compose_one(&mut pool, &mut mig_a, &mut mig_b, pa, second, solver, cache);
-        push_paths(&mut paths, &pool, pa, second, body);
-    }
-    NfContract { pool, paths }
-}
-
-/// Hard ceiling on compose speculation workers, whatever the caller
-/// says (mirrors the explorer's clamp: a runaway `BOLT_THREADS` must
-/// degrade to oversubscription, never exhaust OS threads).
-const MAX_COMPOSE_WORKERS: usize = 256;
-
-/// One speculation slot of the parallel cross-product.
-enum Slot {
-    Pending,
-    Done(Box<(TermPool, PaBody)>),
-    /// The worker panicked; the committer re-runs the path inline so
-    /// the panic surfaces on its thread.
-    Panicked,
-}
-
-/// The parallel engine: workers speculate upstream paths in claim order
-/// against private pools/solver state; the committer absorbs and replays
-/// them in exact upstream-path order (see the module docs).
-fn compose_par(
-    first: &NfContract,
-    second: &NfContract,
-    solver: &Solver,
-    cache: &mut SolverCache,
-    threads: usize,
-) -> NfContract {
-    let n = first.paths.len();
-    let mut pool = TermPool::new();
-    let mut paths = Vec::new();
-    // (symbol name, width bits) → shared-pool term: the cross-worker
-    // symbol identity the committer resolves private pools through.
-    // Names are unique per identity (each side's exploration pool
-    // dedupes names; the nf1./nf2. prefixes keep the sides disjoint).
-    let mut symtab: HashMap<(String, u32), TermRef> = HashMap::new();
-    let slots: Vec<Mutex<Slot>> = (0..n).map(|_| Mutex::new(Slot::Pending)).collect();
-    let next = AtomicUsize::new(0);
-    let cv = Condvar::new();
-    // One mutex guards the "a slot changed" wakeup; per-slot mutexes
-    // hold the payloads so workers never serialise on the committer.
-    let wake = Mutex::new(());
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(MAX_COMPOSE_WORKERS).min(n) {
-            scope.spawn(|| loop {
-                let ai = next.fetch_add(1, Ordering::Relaxed);
-                if ai >= n {
-                    return;
-                }
-                let spec =
-                    catch_unwind(AssertUnwindSafe(|| speculate_pa(first, second, ai, solver)));
-                *slots[ai].lock().unwrap() = match spec {
-                    Ok(s) => Slot::Done(Box::new(s)),
-                    Err(_) => Slot::Panicked,
-                };
-                let _g = wake.lock().unwrap();
-                cv.notify_all();
+        let ca: Vec<TermRef> = pa
+            .constraints
+            .iter()
+            .map(|&t| mig_a.migrate(&mut pool, t))
+            .collect();
+        let forwards = matches!(
+            pa.verdict,
+            Some(NfVerdict::Forward(_)) | Some(NfVerdict::Flood)
+        );
+        if !forwards {
+            // The packet dies here: the pair is the upstream path alone.
+            let packet_fields = pa
+                .packet_fields
+                .iter()
+                .filter_map(|f| {
+                    let t = mig_a.migrate(&mut pool, f.term);
+                    field_of(&pool, f.offset, f.bytes, t)
+                })
+                .collect();
+            paths.push(PathContract {
+                index: paths.len(),
+                constraints: ca,
+                tags: pa.tags.clone(),
+                verdict: pa.verdict,
+                perf: pa.perf.clone(),
+                packet_fields,
+                final_packet: Vec::new(),
             });
+            continue;
         }
-        for (ai, slot) in slots.iter().enumerate() {
-            let spec = loop {
-                // Take the slot under its own lock and release it before
-                // any wait: holding it across the wait would block the
-                // worker's write forever.
-                let taken = {
-                    let mut g = slot.lock().unwrap();
-                    std::mem::replace(&mut *g, Slot::Pending)
-                };
-                match taken {
-                    Slot::Done(s) => break Some(*s),
-                    Slot::Panicked => break None,
-                    Slot::Pending => {
-                        let g = wake.lock().unwrap();
-                        // Re-check under the wake lock: the worker may
-                        // have filled the slot (and notified) between
-                        // the take above and acquiring the wake lock.
-                        let filled = !matches!(*slot.lock().unwrap(), Slot::Pending);
-                        if !filled {
-                            drop(cv.wait(g).unwrap());
-                        }
-                    }
-                }
-            };
-            let (lp, body) = spec.unwrap_or_else(|| speculate_pa(first, second, ai, solver));
-            // Absorb the worker's private pool: deterministic re-intern
-            // through the public constructors in arena order, symbols
-            // resolved by (name, width) through the shared table — the
-            // shared arena gains exactly the nodes the sequential fold
-            // would have interned at this upstream path, in the same
-            // order.
-            let tmap = pool.absorb_with(&lp, |p, name, w| {
-                let key = (name.to_string(), w.bits());
-                if let Some(&t) = symtab.get(&key) {
-                    t
-                } else {
-                    let t = p.fresh_sym(name, w);
-                    symtab.insert(key, t);
-                    t
-                }
-            });
-            let body = remap_body(body, &tmap);
-            // Replay the worker's solver schedule against the shared
-            // cache so memo/model state and every counter evolve
-            // exactly as sequentially — and hard-assert that the
-            // speculative verdicts agree (a divergence would mean a
-            // solver fast path stopped being classification-identical).
-            if let PaBody::Forwarding { ca, pairs } = &body {
-                let mut upstream = SolverCtx::new(solver);
-                for &c in ca {
-                    upstream.assert_term(&pool, c);
-                }
-                for pair in pairs {
-                    upstream.push();
-                    for &c in &pair.tail {
-                        upstream.assert_term(&pool, c);
-                    }
-                    let feasible = upstream.current_feasible(&pool, cache);
-                    upstream.pop();
-                    assert_eq!(
-                        feasible, pair.feasible,
-                        "speculative pair verdict diverged from the shared-cache \
-                         replay (solver fast path not classification-identical?)"
-                    );
+        // Output packet state of the upstream path, migrated.
+        let out_fields: Vec<(u64, u8, TermRef)> = pa
+            .final_packet
+            .iter()
+            .map(|&(o, b, t)| (o, b, mig_a.migrate(&mut pool, t)))
+            .collect();
+        let in_fields: Vec<(u64, u8, TermRef)> = pa
+            .packet_fields
+            .iter()
+            .map(|f| (f.offset, f.bytes, mig_a.migrate(&mut pool, f.term)))
+            .collect();
+        // The upstream constraints are asserted once; every downstream
+        // candidate extends this saved state under a checkpoint.
+        let mut upstream = SolverCtx::new(solver);
+        for &c in &ca {
+            upstream.assert_term(&pool, c);
+        }
+        for pb in &second.paths {
+            let mut tail: Vec<TermRef> = pb
+                .constraints
+                .iter()
+                .map(|&t| mig_b.migrate(&mut pool, t))
+                .collect();
+            // Link: the downstream NF's input fields equal the upstream
+            // NF's output (written value if any, else the pass-through
+            // input symbol).
+            for f in &pb.packet_fields {
+                let downstream = mig_b.migrate(&mut pool, f.term);
+                let up = out_fields
+                    .iter()
+                    .find(|&&(o, b, _)| o == f.offset && b == f.bytes)
+                    .or_else(|| {
+                        in_fields
+                            .iter()
+                            .find(|&&(o, b, _)| o == f.offset && b == f.bytes)
+                    })
+                    .map(|&(_, _, t)| t);
+                if let Some(u) = up {
+                    tail.push(pool.eq(downstream, u));
                 }
             }
-            push_paths(&mut paths, &pool, &first.paths[ai], second, body);
+            upstream.push();
+            for &c in &tail {
+                upstream.assert_term(&pool, c);
+            }
+            let feasible = upstream.current_feasible(&pool, cache);
+            upstream.pop();
+            if !feasible {
+                continue;
+            }
+            // The chain's input fields are the first NF's inputs, plus
+            // any field the second NF reads that passed through the
+            // first NF untouched (it is still free chain input).
+            let mut packet_fields: Vec<PacketField> = in_fields
+                .iter()
+                .filter_map(|&(o, b, t)| field_of(&pool, o, b, t))
+                .collect();
+            for f in &pb.packet_fields {
+                let nf1_touched = out_fields
+                    .iter()
+                    .any(|&(o, b, _)| o == f.offset && b == f.bytes)
+                    || in_fields
+                        .iter()
+                        .any(|&(o, b, _)| o == f.offset && b == f.bytes);
+                if !nf1_touched {
+                    let t = mig_b.migrate(&mut pool, f.term);
+                    packet_fields.extend(field_of(&pool, f.offset, f.bytes, t));
+                }
+            }
+            // The chain's final packet: the second NF's writes overlay
+            // the first NF's final state.
+            let mut final_packet: Vec<(u64, u8, TermRef)> = out_fields.clone();
+            for &(o, b, t) in &pb.final_packet {
+                let t = mig_b.migrate(&mut pool, t);
+                if let Some(slot) = final_packet
+                    .iter_mut()
+                    .find(|(fo, fb, _)| *fo == o && *fb == b)
+                {
+                    slot.2 = t;
+                } else {
+                    final_packet.push((o, b, t));
+                }
+            }
+            let mut constraints = ca.clone();
+            constraints.extend(tail);
+            let mut tags = pa.tags.clone();
+            tags.extend(pb.tags.iter().copied());
+            paths.push(PathContract {
+                index: paths.len(),
+                constraints,
+                tags,
+                verdict: pb.verdict,
+                perf: add_perf(&pa.perf, &pb.perf),
+                packet_fields,
+                final_packet,
+            });
         }
-    });
+    }
     NfContract { pool, paths }
-}
-
-/// Execute one upstream path against fresh private state. Valid at any
-/// time, in any order: the body depends only on the two (immutable)
-/// operand contracts, never on sibling speculation. Feasibility verdicts
-/// computed here are classification-identical to the committer's
-/// shared-cache replay — `Unsat` comes only from the deterministic,
-/// ref-index-independent propagation/enumeration half of the solver.
-fn speculate_pa(
-    first: &NfContract,
-    second: &NfContract,
-    ai: usize,
-    solver: &Solver,
-) -> (TermPool, PaBody) {
-    let mut pool = TermPool::new();
-    let mut cache = SolverCache::new();
-    let mut mig_a = Migrator::new(&first.pool, "nf1");
-    let mut mig_b = Migrator::new(&second.pool, "nf2");
-    let body = compose_one(
-        &mut pool,
-        &mut mig_a,
-        &mut mig_b,
-        &first.paths[ai],
-        second,
-        solver,
-        &mut cache,
-    );
-    (pool, body)
 }
 
 // ---------------------------------------------------------------------------
@@ -787,10 +439,9 @@ pub fn stages_commute(
     label_b: &str,
     solver: &Solver,
     cache: &mut SolverCache,
-    threads: usize,
 ) -> bool {
-    let ab = compose_pair(a, b, solver, cache, threads);
-    let ba = compose_pair(b, a, solver, cache, threads);
+    let ab = compose_pair(a, b, solver, cache);
+    let ba = compose_pair(b, a, solver, cache);
     orders_agree(&ab, &ba, label_a, label_b)
 }
 
@@ -827,15 +478,14 @@ pub struct CommuteWitness {
 /// `max(members) + merge_cost`.
 ///
 /// The semantic contract of the chain is untouched — groups are proven
-/// order-independent, so the sequential composed contract (which the
-/// speculate/commit worker pool already produces bit-identically at any
-/// thread count) remains the truth for paths/verdicts/metrics; the plan
-/// re-interprets *latency* only.
+/// order-independent, so the sequential composed contract remains the
+/// truth for paths/verdicts/metrics; the plan re-interprets *latency*
+/// only.
 ///
 /// Plans are store-cacheable ([`crate::store::plan_key`] over every
 /// stage fingerprint, so any stage-config change invalidates) and
 /// byte-stable: [`crate::codec::encode_plan`] of the same chain is
-/// identical at any worker-thread count.
+/// identical on every run.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ChainPlan {
     /// Stage names, upstream first.
@@ -1174,7 +824,6 @@ impl fmt::Display for ChainReport {
 pub struct Pipeline<'s> {
     pub(crate) stages: Vec<Box<dyn AbstractNf>>,
     pub(crate) store: Option<&'s bolt_store::ContractStore>,
-    pub(crate) threads: Option<usize>,
 }
 
 impl<'s> Pipeline<'s> {
@@ -1183,7 +832,6 @@ impl<'s> Pipeline<'s> {
         Pipeline {
             stages: Vec::new(),
             store: None,
-            threads: None,
         }
     }
 
@@ -1197,14 +845,6 @@ impl<'s> Pipeline<'s> {
     /// exploration, every composed fold step, and every chain plan.
     pub fn with_store(mut self, store: &'s bolt_store::ContractStore) -> Self {
         self.store = Some(store);
-        self
-    }
-
-    /// Explore stages and compose path pairs on `n` worker threads
-    /// (1 = sequential). Overrides the ambient `BOLT_THREADS`; stage and
-    /// composed contracts — and plans — are bit-identical at any count.
-    pub fn threads(mut self, n: usize) -> Self {
-        self.threads = Some(n.max(1));
         self
     }
 
@@ -1236,15 +876,10 @@ impl<'s> Pipeline<'s> {
         Some(key)
     }
 
-    pub(crate) fn resolved_threads(&self) -> usize {
-        self.threads.unwrap_or_else(crate::nf::ambient_threads)
-    }
-
     /// Each stage's individual contract, upstream first (every stage is
     /// explored at `level`, through the attached or ambient store when
     /// one is configured).
     pub fn contracts(&self, level: StackLevel) -> Vec<NfContract> {
-        let threads = self.resolved_threads();
         let env;
         let store = match self.store {
             Some(s) => Some(s),
@@ -1256,8 +891,8 @@ impl<'s> Pipeline<'s> {
         self.stages
             .iter()
             .map(|s| match store {
-                Some(st) => s.explore_contract_cached_threads(level, st, threads),
-                None => s.explore_contract_threads(level, threads),
+                Some(st) => s.explore_contract_cached(level, st),
+                None => s.explore_contract(level),
             })
             .collect()
     }
@@ -1265,8 +900,8 @@ impl<'s> Pipeline<'s> {
     /// The composed contract of the whole chain: stage contracts are
     /// composed pairwise left to right, discarding solver-infeasible
     /// path pairs (which is what masks downstream slow paths the upstream
-    /// NFs filter out). Store-aware and parallel — this is
-    /// [`Pipeline::report`] without the provenance counters. `None` for
+    /// NFs filter out). Store-aware — this is [`Pipeline::report`]
+    /// without the provenance counters. `None` for
     /// an empty chain.
     pub fn contract(&self, level: StackLevel) -> Option<NfContract> {
         self.report(level).map(|r| r.contract)
@@ -1278,13 +913,12 @@ impl<'s> Pipeline<'s> {
     /// consults the store (attached or ambient) under the step's
     /// [`crate::store::compose_key`]; a hit decodes the composed record
     /// — no stage exploration, no solver work. On a miss the two
-    /// operands are materialised (themselves store-backed), composed on
-    /// the configured worker-thread count, and the result is persisted
-    /// for the next run. Stage contracts are built lazily, so a fully
+    /// operands are materialised (themselves store-backed), composed,
+    /// and the result is persisted for the next run. Stage contracts are built lazily, so a fully
     /// warm chain run touches nothing but the final composed record.
     ///
     /// Equivalent to [`crate::composer::Composer::chain`] with this
-    /// pipeline's store/threads settings; build a [`Composer`] directly
+    /// pipeline's store setting; build a [`Composer`] directly
     /// to share a solver cache across chains or to enable planning.
     pub fn report(&self, level: StackLevel) -> Option<ChainReport> {
         let solver = Solver::default();
@@ -1301,34 +935,6 @@ impl<'s> Pipeline<'s> {
     pub fn parallelize(&self, level: StackLevel) -> Option<ChainReport> {
         let solver = Solver::default();
         Composer::new(&solver).parallelize(true).chain(self, level)
-    }
-
-    /// Compose pre-built stage contracts left to right, sharing one
-    /// feasibility cache across the fold, on the ambient `BOLT_THREADS`
-    /// worker count.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `Composer::new(&solver).compose_all(contracts)`"
-    )]
-    pub fn compose_all(contracts: Vec<NfContract>) -> Option<NfContract> {
-        let solver = Solver::default();
-        let mut cache = SolverCache::new();
-        fold_contracts(contracts, &solver, &mut cache, crate::nf::ambient_threads())
-    }
-
-    /// [`Pipeline::compose_all`] with an explicit solver, shared cache,
-    /// and worker-thread count.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `Composer::new(&solver).cache(cache).threads(n).compose_all(contracts)`"
-    )]
-    pub fn compose_all_with(
-        contracts: Vec<NfContract>,
-        solver: &Solver,
-        cache: &mut SolverCache,
-        threads: usize,
-    ) -> Option<NfContract> {
-        fold_contracts(contracts, solver, cache, threads)
     }
 
     /// The naive prediction: the sum over stages of each stage's
@@ -1357,23 +963,6 @@ impl<'s> Pipeline<'s> {
     }
 }
 
-/// Fold pre-built contracts left to right through one shared cache: the
-/// single body behind [`crate::composer::Composer::compose_all`] and the
-/// deprecated [`Pipeline::compose_all`]/[`Pipeline::compose_all_with`].
-pub(crate) fn fold_contracts(
-    contracts: Vec<NfContract>,
-    solver: &Solver,
-    cache: &mut SolverCache,
-    threads: usize,
-) -> Option<NfContract> {
-    let mut it = contracts.into_iter();
-    let mut acc = it.next()?;
-    for next in it {
-        acc = compose_pair(&acc, &next, solver, cache, threads);
-    }
-    Some(acc)
-}
-
 /// The naive prediction for a chain: the sum of each NF's individual
 /// worst case (Figure 3's "Naive-Add" bar).
 pub fn naive_add(
@@ -1400,7 +989,6 @@ pub fn naive_add(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::encode_contract;
     use bolt_expr::Width;
     use bolt_see::{Explorer, NfCtx};
 
@@ -1487,71 +1075,15 @@ mod tests {
     }
 
     #[test]
-    fn parallel_composition_is_bit_identical() {
-        let (a, b) = toy_pair();
-        let solver = Solver::default();
-        let mut seq_cache = SolverCache::new();
-        let seq = compose_pair(&a, &b, &solver, &mut seq_cache, 1);
-        let seq_bytes = encode_contract(&seq);
-        for threads in [2, 3, 8] {
-            let mut cache = SolverCache::new();
-            let par = compose_pair(&a, &b, &solver, &mut cache, threads);
-            assert_eq!(
-                encode_contract(&par),
-                seq_bytes,
-                "composition at {threads} threads diverged from sequential"
-            );
-            assert_eq!(
-                cache.stats, seq_cache.stats,
-                "solver counters diverged at {threads} threads"
-            );
-        }
-    }
-
-    #[test]
-    fn deprecated_shims_are_parity_exact() {
-        let (a, b) = toy_pair();
-        let solver = Solver::default();
-        let via_composer = {
-            let mut c = Composer::new(&solver);
-            encode_contract(&c.compose(&a, &b))
-        };
-        #[allow(deprecated)]
-        let via_compose = encode_contract(&compose(&a, &b, &solver));
-        #[allow(deprecated)]
-        let via_compose_with = {
-            let mut cache = SolverCache::new();
-            encode_contract(&compose_with(&a, &b, &solver, &mut cache, 2))
-        };
-        assert_eq!(via_compose, via_composer, "compose() shim drifted");
-        assert_eq!(
-            via_compose_with, via_composer,
-            "compose_with() shim drifted"
-        );
-        let (a2, b2) = toy_pair();
-        let via_composer_all = {
-            let mut c = Composer::new(&solver);
-            encode_contract(&c.compose_all(vec![a2, b2]).unwrap())
-        };
-        let (a3, b3) = toy_pair();
-        #[allow(deprecated)]
-        let via_compose_all = encode_contract(&Pipeline::compose_all(vec![a3, b3]).unwrap());
-        assert_eq!(
-            via_compose_all, via_composer_all,
-            "compose_all() shim drifted"
-        );
-    }
-
-    #[test]
     fn shared_cache_reuses_verdicts_across_fold_steps() {
         let (a, b) = toy_pair();
         let solver = Solver::default();
         // Composing the same pair twice through one cache must answer
         // the second step's identical probes from the memo.
         let mut cache = SolverCache::new();
-        let _ = compose_pair(&a, &b, &solver, &mut cache, 1);
+        let _ = compose_pair(&a, &b, &solver, &mut cache);
         let after_first = cache.stats;
-        let _ = compose_pair(&a, &b, &solver, &mut cache, 1);
+        let _ = compose_pair(&a, &b, &solver, &mut cache);
         assert!(
             cache.stats.checks_requested > after_first.checks_requested,
             "second step must issue requests"
@@ -1594,13 +1126,9 @@ mod tests {
         let solver = Solver::default();
         let mut cache = SolverCache::new();
         assert!(
-            stages_commute(&f, &g, "f", "g", &solver, &mut cache, 1),
+            stages_commute(&f, &g, "f", "g", &solver, &mut cache),
             "independent stateless filters must provably commute"
         );
-        // And the signature machinery agrees with itself at any thread
-        // count (compose is bit-identical, signatures are derived).
-        let mut cache8 = SolverCache::new();
-        assert!(stages_commute(&f, &g, "f", "g", &solver, &mut cache8, 8));
     }
 
     #[test]
@@ -1612,7 +1140,7 @@ mod tests {
         let solver = Solver::default();
         let mut cache = SolverCache::new();
         assert!(
-            !stages_commute(&a, &b, "up", "down", &solver, &mut cache, 1),
+            !stages_commute(&a, &b, "up", "down", &solver, &mut cache),
             "a writer and a reader of the same field must stay sequential"
         );
     }
@@ -1627,7 +1155,7 @@ mod tests {
         let g = filter_contract(mark_filter(40, "g-hit", "g-miss"));
         let solver = Solver::default();
         let mut cache = SolverCache::new();
-        assert!(!stages_commute(&a, &g, "up", "g", &solver, &mut cache, 1));
+        assert!(!stages_commute(&a, &g, "up", "g", &solver, &mut cache));
     }
 
     /// NfOnly contract of a real NF's symbolic body. `bolt_nfs`
@@ -1694,13 +1222,13 @@ mod tests {
             (&fw, &fw, "fw", "fw", false, true),
         ];
         for (a, b, la, lb, exits, commutes) in cases {
-            let ab = compose_pair(a, b, &solver, &mut cache, 1);
-            let ba = compose_pair(b, a, &solver, &mut cache, 1);
+            let ab = compose_pair(a, b, &solver, &mut cache);
+            let ba = compose_pair(b, a, &solver, &mut cache);
             assert_eq!(ab.paths.len() != ba.paths.len(), exits, "{la}/{lb}");
             let full = contract_signature(&ab, la, lb) == contract_signature(&ba, lb, la);
             assert_eq!(full, commutes, "{la}/{lb}");
             assert_eq!(
-                stages_commute(a, b, la, lb, &solver, &mut cache, 1),
+                stages_commute(a, b, la, lb, &solver, &mut cache),
                 full,
                 "{la}/{lb}: the path-count exit changed the verdict"
             );

@@ -1,14 +1,9 @@
-//! The unified front door for chain composition: [`Composer`].
-//!
-//! Composition used to be four free-standing entry points
-//! (`compose`, `compose_with`, `compose_all`, `compose_all_with`) whose
-//! argument lists grew with every capability (shared caches, worker
-//! threads, stores). `Composer` folds them into one builder:
+//! The unified front door for chain composition: [`Composer`], one
+//! builder for shared caches, stores and the parallelization planner:
 //!
 //! ```ignore
 //! let solver = Solver::default();
 //! let mut composer = Composer::new(&solver)
-//!     .threads(8)
 //!     .store(&store)
 //!     .parallelize(true);
 //! let report = composer.chain(&pipeline, StackLevel::FullStack).unwrap();
@@ -75,7 +70,6 @@ impl CacheSlot<'_> {
 pub struct Composer<'a> {
     solver: &'a Solver,
     cache: CacheSlot<'a>,
-    threads: Option<usize>,
     store: Option<&'a ContractStore>,
     parallelize: bool,
 }
@@ -86,7 +80,6 @@ impl<'a> Composer<'a> {
         Composer {
             solver,
             cache: CacheSlot::Owned(Box::new(SolverCache::new())),
-            threads: None,
             store: None,
             parallelize: false,
         }
@@ -96,14 +89,6 @@ impl<'a> Composer<'a> {
     /// models, and the stats counters) instead of the owned one.
     pub fn cache(mut self, cache: &'a mut SolverCache) -> Self {
         self.cache = CacheSlot::Borrowed(cache);
-        self
-    }
-
-    /// Compose path pairs (and explore stages) on `n` worker threads.
-    /// Overrides a pipeline's own setting and the ambient
-    /// `BOLT_THREADS`; output is bit-identical at any count.
-    pub fn threads(mut self, n: usize) -> Self {
-        self.threads = Some(n.max(1));
         self
     }
 
@@ -136,26 +121,18 @@ impl<'a> Composer<'a> {
         }
     }
 
-    fn resolved_threads(&self) -> usize {
-        self.threads.unwrap_or_else(crate::nf::ambient_threads)
-    }
-
-    /// Compose two contracts into the contract of `first → second`
-    /// (replaces the deprecated `compose`/`compose_with`).
+    /// Compose two contracts into the contract of `first → second`.
     pub fn compose(&mut self, first: &NfContract, second: &NfContract) -> NfContract {
-        let threads = self.resolved_threads();
         let registry = self.registry();
         let solver = self.solver;
         registry.counter("compose.pairs").inc();
         let _span = registry.histogram("compose.wall").span();
-        compose_pair(first, second, solver, self.cache.get_mut(), threads)
+        compose_pair(first, second, solver, self.cache.get_mut())
     }
 
     /// Fold pre-built stage contracts left to right through this
-    /// composer's cache (replaces the deprecated
-    /// `Pipeline::compose_all`/`compose_all_with`). No store
-    /// involvement — the contracts are already in hand; use
-    /// [`Composer::chain`] for the memoized path.
+    /// composer's cache. No store involvement — the contracts are
+    /// already in hand; use [`Composer::chain`] for the memoized path.
     pub fn compose_all(&mut self, contracts: Vec<NfContract>) -> Option<NfContract> {
         let mut it = contracts.into_iter();
         let mut acc = it.next()?;
@@ -170,18 +147,13 @@ impl<'a> Composer<'a> {
     /// [`Composer::parallelize`] enabled, the plan). `None` for an
     /// empty chain.
     ///
-    /// Configuration precedence is composer-over-pipeline-over-ambient:
-    /// an explicit [`Composer::threads`]/[`Composer::store`] wins,
-    /// otherwise the pipeline's own settings, otherwise
-    /// `BOLT_THREADS`/`BOLT_STORE_DIR`.
+    /// Store precedence is composer-over-pipeline-over-ambient: an
+    /// explicit [`Composer::store`] wins, otherwise the pipeline's own
+    /// store, otherwise `BOLT_STORE_DIR`.
     pub fn chain(&mut self, pipeline: &Pipeline<'_>, level: StackLevel) -> Option<ChainReport> {
         if pipeline.stages.is_empty() {
             return None;
         }
-        let threads = self
-            .threads
-            .or(pipeline.threads)
-            .unwrap_or_else(crate::nf::ambient_threads);
         let ambient;
         let store = match self.store.or(pipeline.store) {
             Some(s) => Some(s),
@@ -229,15 +201,12 @@ impl<'a> Composer<'a> {
                             s.as_ref(),
                             level,
                             store,
-                            threads,
                             &mut stages_explored,
                             &mut stages_cached,
                         )
                     })
                     .collect();
-                let p = build_plan(
-                    &contracts, &keys, &names, level, solver, cache, threads, &registry,
-                );
+                let p = build_plan(&contracts, &keys, &names, level, solver, cache, &registry);
                 if let Some(st) = store {
                     // A failed write costs only the next run's warm plan.
                     let _ = st.put_plan(pkey, &chain_label, level, &p);
@@ -268,14 +237,7 @@ impl<'a> Composer<'a> {
                     return c;
                 }
             }
-            stage_contract(
-                pipeline.stages[i].as_ref(),
-                level,
-                store,
-                threads,
-                explored,
-                cached,
-            )
+            stage_contract(pipeline.stages[i].as_ref(), level, store, explored, cached)
         };
 
         // `cks[i]` addresses the composed contract of stages `0..=i`
@@ -312,7 +274,7 @@ impl<'a> Composer<'a> {
             registry.counter("compose.pairs").inc();
             let composed = {
                 let _span = registry.histogram("compose.wall").span();
-                compose_pair(&left, &right, solver, cache, threads)
+                compose_pair(&left, &right, solver, cache)
             };
             if let Some(st) = store {
                 // A failed write costs only the next run's warm start.
@@ -358,13 +320,12 @@ fn stage_contract(
     stage: &dyn crate::nf::AbstractNf,
     level: StackLevel,
     store: Option<&ContractStore>,
-    threads: usize,
     explored: &mut usize,
     cached: &mut usize,
 ) -> NfContract {
     match store {
         Some(st) => {
-            let (c, was_cached) = stage.explore_contract_via_store(level, st, threads);
+            let (c, was_cached) = stage.explore_contract_via_store(level, st);
             if was_cached {
                 *cached += 1;
             } else {
@@ -374,7 +335,7 @@ fn stage_contract(
         }
         None => {
             *explored += 1;
-            stage.explore_contract_threads(level, threads)
+            stage.explore_contract(level)
         }
     }
 }
@@ -385,7 +346,6 @@ fn stage_contract(
 /// adjacent swaps, each justified by one witness). Stages with identical
 /// store keys — same NF, same config — commute trivially and skip the
 /// probe.
-#[allow(clippy::too_many_arguments)]
 fn build_plan(
     contracts: &[NfContract],
     keys: &[Fingerprint],
@@ -393,7 +353,6 @@ fn build_plan(
     level: StackLevel,
     solver: &Solver,
     cache: &mut SolverCache,
-    threads: usize,
     registry: &Registry,
 ) -> ChainPlan {
     let n = contracts.len();
@@ -416,7 +375,7 @@ fn build_plan(
                 // the signature comparison is the planner's own.
                 let mut probe = |x: &NfContract, y: &NfContract| {
                     let _span = registry.histogram("compose.wall").span();
-                    compose_pair(x, y, solver, cache, threads)
+                    compose_pair(x, y, solver, cache)
                 };
                 let ab = probe(&contracts[mu], &contracts[i]);
                 let ba = probe(&contracts[i], &contracts[mu]);

@@ -20,8 +20,8 @@
 //! conjoining their constraints with equality links between the upstream
 //! NF's output packet expressions and the downstream NF's input symbols,
 //! and keeping only solver-feasible pairs. [`composer`] is the unified
-//! front door ([`Composer`]): one builder for caches, worker threads,
-//! stores, and the chain parallelization planner, which proves adjacent
+//! front door ([`Composer`]): one builder for caches, stores, and the
+//! chain parallelization planner, which proves adjacent
 //! stages order-independent and turns the chain's cycle contract from a
 //! sum into per-group `max + merge` ([`ChainPlan`]).
 //!
@@ -46,16 +46,12 @@ pub mod contract;
 pub mod nf;
 pub mod store;
 
-#[allow(deprecated)]
-pub use chain::{compose, compose_with};
 pub use chain::{naive_add, stages_commute, ChainPlan, ChainReport, CommuteWitness, Pipeline};
 pub use classes::{ClassSpec, InputClass};
 pub use codec::{decode_contract, decode_plan, encode_contract, encode_plan};
 pub use composer::Composer;
 pub use contract::{generate, NfContract, PathContract, QueryResult};
-pub use nf::{
-    ambient_threads, AbstractNf, Bolt, Contract, Exploration, NetworkFunction, THREADS_ENV,
-};
+pub use nf::{AbstractNf, Bolt, Contract, Exploration, NetworkFunction};
 pub use store::{
     compose_key, env_store, level_name, plan_key, store_key, ContractStore, Fingerprint,
     Fingerprinter, StoreExt,

@@ -48,20 +48,6 @@ use crate::store::StoreExt;
 /// their own.
 pub const BURST_CHUNK: usize = 32;
 
-/// Environment variable naming the ambient exploration thread count.
-pub const THREADS_ENV: &str = "BOLT_THREADS";
-
-/// The ambient exploration thread count: `BOLT_THREADS` when set to a
-/// positive integer, else 1 (sequential — all existing behaviour
-/// unchanged). Exploration output is bit-identical at any value; the
-/// knob only trades cores for wall-clock.
-pub fn ambient_threads() -> usize {
-    std::env::var(THREADS_ENV)
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .map_or(1, |n| n.max(1))
-}
-
 /// A network function: configuration plus the Vigor-style split into
 /// stateful library parts (registered, modelled, contracted) and
 /// stateless packet logic (written once, executed symbolically and
@@ -72,9 +58,8 @@ pub fn ambient_threads() -> usize {
 /// demand by [`NetworkFunction::state`].
 pub trait NetworkFunction {
     /// Handle to the NF's registered stateful parts (data-structure ids
-    /// and PCVs). `()` for stateless NFs. `Sync` because exploration
-    /// worker threads share the handle while re-executing the NF body.
-    type Ids: Copy + Sync + 'static;
+    /// and PCVs). `()` for stateless NFs.
+    type Ids: Copy + 'static;
 
     /// Concrete instrumented state (the production build's data
     /// structures).
@@ -148,27 +133,14 @@ pub trait NetworkFunction {
 
     /// Run the analysis build: enumerate every feasible path of this NF
     /// at the given stack level (Algorithm 2, lines 2–3). Provided for
-    /// every NF. Honours the ambient `BOLT_THREADS` thread count
-    /// ([`ambient_threads`]); output is bit-identical at any value.
+    /// every NF.
     fn explore(&self, level: StackLevel) -> Exploration<Self::Ids>
     where
-        Self: Sized + Sync,
-    {
-        self.explore_threads(level, ambient_threads())
-    }
-
-    /// [`NetworkFunction::explore`] with an explicit worker-thread
-    /// count (1 = the sequential worklist). Exploration output is
-    /// bit-identical at any count; see [`Explorer::explore_par`].
-    fn explore_threads(&self, level: StackLevel, threads: usize) -> Exploration<Self::Ids>
-    where
-        Self: Sized + Sync,
+        Self: Sized,
     {
         let mut reg = DsRegistry::new();
         let ids = self.register(&mut reg);
-        let mut explorer = Explorer::new();
-        explorer.threads = threads;
-        let result = explorer.explore_par(|ctx| {
+        let result = Explorer::new().explore(|ctx| {
             sym_process_packet(ctx, level, self.packet_len(), |ctx, mbuf| {
                 self.sym_process(ctx, ids, mbuf);
             });
@@ -185,7 +157,7 @@ pub trait NetworkFunction {
     /// Explore and generate in one step (`explore(level).contract()`).
     fn contract(&self, level: StackLevel) -> Contract<Self::Ids>
     where
-        Self: Sized + Sync,
+        Self: Sized,
     {
         self.explore(level).contract()
     }
@@ -197,23 +169,16 @@ pub trait NetworkFunction {
 /// with [`Bolt::with_store`] — or ambiently via the `BOLT_STORE_DIR`
 /// environment variable — and skips the explorer (and every solver
 /// query) on a warm hit. With no store, it explores fresh, exactly as
-/// before. [`Bolt::threads`] sets the exploration worker-thread count
-/// (default: ambient `BOLT_THREADS`, else 1); output is bit-identical
-/// at any count.
+/// before.
 pub struct Bolt<'s, N> {
     nf: N,
     store: Option<&'s ContractStore>,
-    threads: Option<usize>,
 }
 
-impl<'s, N: NetworkFunction + Sync> Bolt<'s, N> {
+impl<'s, N: NetworkFunction> Bolt<'s, N> {
     /// Wrap a network function descriptor.
     pub fn nf(nf: N) -> Self {
-        Bolt {
-            nf,
-            store: None,
-            threads: None,
-        }
+        Bolt { nf, store: None }
     }
 
     /// Attach a persistent contract store: `explore` becomes
@@ -223,25 +188,16 @@ impl<'s, N: NetworkFunction + Sync> Bolt<'s, N> {
         self
     }
 
-    /// Explore on `n` worker threads (1 = sequential). Overrides the
-    /// ambient `BOLT_THREADS`. The knob trades cores for wall-clock
-    /// only — exploration output is bit-identical at any value.
-    pub fn threads(mut self, n: usize) -> Self {
-        self.threads = Some(n.max(1));
-        self
-    }
-
     /// Run the analysis build at a stack level (through the attached or
     /// ambient store, when one is configured).
     pub fn explore(self, level: StackLevel) -> Exploration<N::Ids> {
-        let threads = self.threads.unwrap_or_else(ambient_threads);
         if let Some(store) = self.store {
-            return store.get_or_explore_threads(&self.nf, level, threads);
+            return store.get_or_explore(&self.nf, level);
         }
         if let Some(store) = crate::store::env_store() {
-            return store.get_or_explore_threads(&self.nf, level, threads);
+            return store.get_or_explore(&self.nf, level);
         }
-        self.nf.explore_threads(level, threads)
+        self.nf.explore(level)
     }
 
     /// The wrapped descriptor.
@@ -366,22 +322,15 @@ pub trait AbstractNf {
     /// The NF's short name.
     fn name(&self) -> &'static str;
 
-    /// Run the analysis build and generate the raw contract, on
-    /// `threads` exploration workers (1 = sequential; output is
-    /// bit-identical at any count).
-    fn explore_contract_threads(&self, level: StackLevel, threads: usize) -> NfContract;
+    /// Run the analysis build and generate the raw contract.
+    fn explore_contract(&self, level: StackLevel) -> NfContract;
 
-    /// Like [`AbstractNf::explore_contract_threads`], but get-or-explore
-    /// against a persistent contract store (warm hits skip the explorer
-    /// and the solver entirely).
-    fn explore_contract_cached_threads(
-        &self,
-        level: StackLevel,
-        store: &ContractStore,
-        threads: usize,
-    ) -> NfContract;
+    /// Like [`AbstractNf::explore_contract`], but get-or-explore against
+    /// a persistent contract store (warm hits skip the explorer and the
+    /// solver entirely).
+    fn explore_contract_cached(&self, level: StackLevel, store: &ContractStore) -> NfContract;
 
-    /// [`AbstractNf::explore_contract_cached_threads`], additionally
+    /// [`AbstractNf::explore_contract_cached`], additionally
     /// reporting whether the stage was served from the store (`true`) or
     /// explored fresh (`false`) — the provenance
     /// [`crate::chain::ChainReport`] surfaces per chain run.
@@ -389,7 +338,6 @@ pub trait AbstractNf {
         &self,
         level: StackLevel,
         store: &ContractStore,
-        threads: usize,
     ) -> (NfContract, bool);
 
     /// The stage's contract-store key at a stack level (NF name, config,
@@ -398,48 +346,27 @@ pub trait AbstractNf {
     /// changed stage config invalidates every composed record downstream
     /// of the stage.
     fn store_key(&self, level: StackLevel) -> crate::store::Fingerprint;
-
-    /// [`AbstractNf::explore_contract_threads`] at the ambient
-    /// `BOLT_THREADS` count.
-    fn explore_contract(&self, level: StackLevel) -> NfContract {
-        self.explore_contract_threads(level, ambient_threads())
-    }
-
-    /// [`AbstractNf::explore_contract_cached_threads`] at the ambient
-    /// `BOLT_THREADS` count.
-    fn explore_contract_cached(&self, level: StackLevel, store: &ContractStore) -> NfContract {
-        self.explore_contract_cached_threads(level, store, ambient_threads())
-    }
 }
 
-impl<N: NetworkFunction + Sync> AbstractNf for N {
+impl<N: NetworkFunction> AbstractNf for N {
     fn name(&self) -> &'static str {
         NetworkFunction::name(self)
     }
 
-    fn explore_contract_threads(&self, level: StackLevel, threads: usize) -> NfContract {
-        self.explore_threads(level, threads).contract().into_inner()
+    fn explore_contract(&self, level: StackLevel) -> NfContract {
+        self.explore(level).contract().into_inner()
     }
 
-    fn explore_contract_cached_threads(
-        &self,
-        level: StackLevel,
-        store: &ContractStore,
-        threads: usize,
-    ) -> NfContract {
-        store
-            .get_or_explore_threads(self, level, threads)
-            .contract()
-            .into_inner()
+    fn explore_contract_cached(&self, level: StackLevel, store: &ContractStore) -> NfContract {
+        store.get_or_explore(self, level).contract().into_inner()
     }
 
     fn explore_contract_via_store(
         &self,
         level: StackLevel,
         store: &ContractStore,
-        threads: usize,
     ) -> (NfContract, bool) {
-        let ex = store.get_or_explore_threads(self, level, threads);
+        let ex = store.get_or_explore(self, level);
         let cached = ex.cached;
         (ex.contract().into_inner(), cached)
     }

@@ -129,25 +129,8 @@ pub trait StoreExt {
     /// re-registering the NF's stateful parts is the only work, no
     /// explorer run, no solver query. Cold path: explore, save the
     /// record, and return the fresh result. The returned
-    /// [`Exploration::cached`] flag says which happened. Explores at
-    /// the ambient `BOLT_THREADS` count.
-    fn get_or_explore<N: NetworkFunction + Sync>(
-        &self,
-        nf: &N,
-        level: StackLevel,
-    ) -> Exploration<N::Ids> {
-        self.get_or_explore_threads(nf, level, crate::nf::ambient_threads())
-    }
-
-    /// [`StoreExt::get_or_explore`] with an explicit exploration
-    /// worker-thread count for the cold path. Exploration output — and
-    /// therefore the persisted record — is bit-identical at any count.
-    fn get_or_explore_threads<N: NetworkFunction + Sync>(
-        &self,
-        nf: &N,
-        level: StackLevel,
-        threads: usize,
-    ) -> Exploration<N::Ids>;
+    /// [`Exploration::cached`] flag says which happened.
+    fn get_or_explore<N: NetworkFunction>(&self, nf: &N, level: StackLevel) -> Exploration<N::Ids>;
 
     /// Fetch and decode a stored contract record.
     fn get_contract(&self, key: Fingerprint) -> Option<NfContract>;
@@ -235,12 +218,7 @@ fn feed_explore_stats(metrics: &bolt_obs::Registry, stats: &bolt_see::ExploreSta
 }
 
 impl StoreExt for ContractStore {
-    fn get_or_explore_threads<N: NetworkFunction + Sync>(
-        &self,
-        nf: &N,
-        level: StackLevel,
-        threads: usize,
-    ) -> Exploration<N::Ids> {
+    fn get_or_explore<N: NetworkFunction>(&self, nf: &N, level: StackLevel) -> Exploration<N::Ids> {
         let key = store_key(nf, level);
         if let Some(payload) = self.get(key, RecordKind::Exploration) {
             let decoded = {
@@ -269,7 +247,7 @@ impl StoreExt for ContractStore {
         }
         let ex = {
             let _span = self.metrics().histogram("explore.wall").span();
-            nf.explore_threads(level, threads)
+            nf.explore(level)
         };
         feed_explore_stats(self.metrics(), &ex.result.stats);
         let payload = bolt_see::codec::encode_result(&ex.result);

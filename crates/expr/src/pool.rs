@@ -604,48 +604,6 @@ impl TermPool {
         self.intern(t)
     }
 
-    /// Deterministically re-intern every node of `src` into `self`,
-    /// returning the full remap table (`src` arena index → ref in
-    /// `self`).
-    ///
-    /// This is the merge half of the per-thread-pool design: a worker
-    /// explores against a private pool, and the committer absorbs that
-    /// pool into the shared one. Nodes are replayed *through the public
-    /// constructors* in arena order (children precede parents), so
-    /// commutative canonicalisation is re-applied against the
-    /// destination pool's ref ordering — the absorbed node is exactly
-    /// the node `self` would have built had the run executed against it
-    /// directly, which is what keeps multi-threaded exploration
-    /// bit-identical to sequential. Folding never fires during a replay:
-    /// `src` nodes are post-folding canonical forms, and the remap
-    /// preserves the structural facts folding keys on (constant-ness,
-    /// constant values, operand equality).
-    ///
-    /// `sym` resolves symbol identity across pools — given the symbol's
-    /// name and width, it must return the destination pool's term for
-    /// it (registering a fresh symbol on first sight). Callers that
-    /// share symbols across runs pass their registry lookup here.
-    pub fn absorb_with(
-        &mut self,
-        src: &TermPool,
-        mut sym: impl FnMut(&mut TermPool, &str, Width) -> TermRef,
-    ) -> Vec<TermRef> {
-        let mut map: Vec<TermRef> = Vec::with_capacity(src.len());
-        for node in src.nodes() {
-            let m = match *node {
-                Term::Const { value, width } => self.constant(value, width),
-                Term::Sym { id, width } => sym(self, src.sym_name(id), width),
-                Term::Unop { op, a } => self.unop(op, map[a.index()]),
-                Term::Binop { op, a, b } => self.binop(op, map[a.index()], map[b.index()]),
-                Term::Ite { c, t, e } => self.ite(map[c.index()], map[t.index()], map[e.index()]),
-                Term::Zext { a, width } => self.zext(map[a.index()], width),
-                Term::Trunc { a, width } => self.trunc(map[a.index()], width),
-            };
-            map.push(m);
-        }
-        map
-    }
-
     /// Render a term as human-readable infix text, using symbol names.
     pub fn display(&self, r: TermRef) -> String {
         let mut s = String::new();
@@ -860,103 +818,6 @@ mod tests {
             let _ = mk(&mut p, x, i);
         }
         assert_eq!(mk(&mut p, x, 0), first, "early terms still found");
-    }
-
-    /// Symbol resolver for absorb tests: share symbols by name, minting
-    /// on first sight (what the explorer's registry does).
-    fn absorb_by_name(
-        seen: &mut std::collections::HashMap<String, SymId>,
-    ) -> impl FnMut(&mut TermPool, &str, Width) -> TermRef + '_ {
-        move |dst, name, w| match seen.get(name) {
-            Some(&id) => dst.sym_ref(id),
-            None => {
-                let t = dst.fresh_sym(name, w);
-                if let Term::Sym { id, .. } = *dst.get(t) {
-                    seen.insert(name.to_string(), id);
-                }
-                t
-            }
-        }
-    }
-
-    #[test]
-    fn absorb_reproduces_direct_construction() {
-        // Build the same run twice: once directly against the master
-        // pool, once against a private pool absorbed afterwards. The
-        // master must end bit-identical either way.
-        fn run(p: &mut TermPool, x: TermRef, y: TermRef) -> TermRef {
-            let s = p.add(x, y);
-            let z = p.zext(s, Width::W64);
-            let k = p.constant(0x1000, Width::W64);
-            let c = p.ult(z, k);
-            let t = p.trunc(z, Width::W16);
-            let e = p.constant(7, Width::W16);
-            let i = p.ite(c, t, e);
-            let n = p.not(c);
-            p.ite(n, e, i)
-        }
-        let mut direct = TermPool::new();
-        let dx = direct.fresh_sym("x", Width::W32);
-        let dy = direct.fresh_sym("y", Width::W32);
-        let dr = run(&mut direct, dx, dy);
-
-        let mut local = TermPool::new();
-        let lx = local.fresh_sym("x", Width::W32);
-        let ly = local.fresh_sym("y", Width::W32);
-        let lr = run(&mut local, lx, ly);
-
-        let mut master = TermPool::new();
-        let mut seen = std::collections::HashMap::new();
-        let map = master.absorb_with(&local, absorb_by_name(&mut seen));
-        assert_eq!(master.len(), direct.len());
-        assert_eq!(map[lr.index()], dr);
-        assert_eq!(master.display(map[lr.index()]), direct.display(dr));
-        assert_eq!(master.nodes(), direct.nodes());
-    }
-
-    #[test]
-    fn absorb_recanonicalises_commutative_operands() {
-        // In the private pool, `a` was created before `b`; in the master,
-        // `b` already exists (from an earlier run) while `a` is new, so
-        // the ref order reverses. The absorbed commutative node must be
-        // re-canonicalised against *master* refs, matching what a direct
-        // build would intern.
-        let mut local = TermPool::new();
-        let la = local.fresh_sym("a", Width::W32);
-        let lb = local.fresh_sym("b", Width::W32);
-        let lsum = local.add(la, lb);
-
-        let mut master = TermPool::new();
-        // Pre-populate: "b" and some unrelated terms exist, "a" doesn't.
-        let mb = master.fresh_sym("b", Width::W32);
-        let pad = master.constant(99, Width::W32);
-        let _ = master.add(mb, pad);
-
-        let mut seen = std::collections::HashMap::new();
-        if let Term::Sym { id, .. } = *master.get(mb) {
-            seen.insert("b".to_string(), id);
-        }
-        let map = master.absorb_with(&local, absorb_by_name(&mut seen));
-        let ma = map[la.index()];
-        let msum = map[lsum.index()];
-        // Direct construction must dedup against the absorbed node.
-        assert_eq!(master.add(mb, ma), msum);
-        assert_eq!(master.add(ma, mb), msum);
-    }
-
-    #[test]
-    fn absorb_is_idempotent_on_shared_structure() {
-        let mut local = TermPool::new();
-        let x = local.fresh_sym("x", Width::W16);
-        let k = local.constant(3, Width::W16);
-        let e = local.eq(x, k);
-        let mut master = TermPool::new();
-        let mut seen = std::collections::HashMap::new();
-        let m1 = master.absorb_with(&local, absorb_by_name(&mut seen));
-        let n = master.len();
-        let m2 = master.absorb_with(&local, absorb_by_name(&mut seen));
-        assert_eq!(master.len(), n, "second absorb interns nothing new");
-        assert_eq!(m1[e.index()], m2[e.index()]);
     }
 
     #[test]

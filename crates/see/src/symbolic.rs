@@ -39,11 +39,8 @@ pub struct ExploreShared {
 
 impl ExploreShared {
     /// Mint (or, when an earlier run already minted it, reuse) the
-    /// symbol for `name` in `pool`. Shared by in-run minting
-    /// ([`SymbolicCtx`]'s lazy packet fields and model `fresh` calls)
-    /// and by the parallel committer, which resolves worker-local
-    /// symbols through the same registry while absorbing a private pool
-    /// — both paths therefore assign identical ids in identical order.
+    /// symbol for `name` in `pool`. Used by in-run minting
+    /// ([`SymbolicCtx`]'s lazy packet fields and model `fresh` calls).
     pub fn sym_for(&mut self, pool: &mut TermPool, name: &str, w: Width) -> TermRef {
         let key = (name.to_string(), w.bits());
         if let Some(&id) = self.sym_registry.get(&key) {

@@ -46,7 +46,7 @@ fn reopen(dir: &std::path::Path) -> ContractStore {
 /// `query_one` prints it (the one-shot CLI path: fresh process, fresh
 /// decode, its own rendering code). The server's answers must match
 /// this byte for byte.
-fn cli_query_text<N: NetworkFunction + Sync>(
+fn cli_query_text<N: NetworkFunction>(
     store: &ContractStore,
     nf: N,
     level: StackLevel,

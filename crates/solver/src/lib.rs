@@ -560,9 +560,8 @@ impl Solver {
         // Completion: every symbol the constraints mention gets a value.
         // The support — not the whole pool registry — so the verdict and
         // the witness depend only on the constraint list itself: symbols
-        // other runs registered in a shared pool (or that a parallel
-        // committer absorbed before replaying this query) cannot perturb
-        // the RNG stream or the produced model. Symbols outside the
+        // other runs registered in a shared pool cannot perturb the RNG
+        // stream or the produced model. Symbols outside the
         // support evaluate to 0 under the witness either way.
         let all_syms: Vec<SymId> = {
             let mut v: Vec<SymId> = constraints

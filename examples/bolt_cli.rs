@@ -114,7 +114,7 @@ fn usage() -> ! {
          \x20 list     [--store DIR | --remote EP]\n\
          \x20 query    --nf NAME [--level L] [--metric M] [--pcv name=val]... [--tag TAG] [--store DIR | --remote EP]\n\
          \x20          [--depth N] [--repeat N]   (remote only: pipeline depth, repeated pipelined queries)\n\
-         \x20 chain    --nfs A,B[,C...] [--level L] [--metric M] [--tag TAG] [--threads N]\n\
+         \x20 chain    --nfs A,B[,C...] [--level L] [--metric M] [--tag TAG]\n\
          \x20          [--parallelize] [--plan] [--json] [--store DIR]\n\
          \x20 diff     --a NF[:LEVEL] --b NF[:LEVEL] [--metric M] [--store DIR | --remote EP]\n\
          \x20 evict    --nf NAME [--level L|both] | --budget BYTES   [--store DIR]\n\
@@ -178,7 +178,6 @@ struct Opts {
     a: Option<String>,
     b: Option<String>,
     budget: Option<u64>,
-    threads: Option<usize>,
     remote: Option<String>,
     socket: Option<String>,
     tcp: Option<String>,
@@ -209,13 +208,6 @@ fn parse_opts(args: &[String]) -> Opts {
             "--nf" => o.nf = Some(val("--nf")),
             "--nfs" => o.nfs = Some(val("--nfs")),
             "--all" => o.all = true,
-            "--threads" => {
-                let v = val("--threads");
-                o.threads = Some(
-                    v.parse::<usize>()
-                        .unwrap_or_else(|_| die(&format!("bad --threads {v:?} (want a count)"))),
-                );
-            }
             "--level" => o.level = Some(val("--level")),
             "--metric" => o.metric = Some(val("--metric")),
             "--store" => o.store = Some(val("--store")),
@@ -325,12 +317,7 @@ fn levels_of(o: &Opts) -> Vec<StackLevel> {
 
 /// Get-or-explore one NF and persist both the exploration and contract
 /// records; prints a one-line summary.
-fn explore_one<N: NetworkFunction + Sync>(
-    store: &ContractStore,
-    name: &str,
-    nf: N,
-    level: StackLevel,
-) {
+fn explore_one<N: NetworkFunction>(store: &ContractStore, name: &str, nf: N, level: StackLevel) {
     let key = store_key(&nf, level);
     let ex = store.get_or_explore(&nf, level);
     let n_paths = ex.result.paths.len();
@@ -423,7 +410,7 @@ fn cmd_list(o: &Opts) {
     }
 }
 
-fn query_one<N: NetworkFunction + Sync>(store: &ContractStore, nf: N, o: &Opts, level: StackLevel) {
+fn query_one<N: NetworkFunction>(store: &ContractStore, nf: N, o: &Opts, level: StackLevel) {
     let metric = parse_metric(o.metric.as_deref().unwrap_or("instructions"));
     let ex = store.get_or_explore(&nf, level);
     let source = if ex.cached { "warm" } else { "explored" };
@@ -617,9 +604,6 @@ fn cmd_chain(o: &Opts) {
     let mut chain = Pipeline::new().with_store(&store);
     for name in spec.split(',') {
         with_nf!(name.trim(), nf => { chain = chain.push(nf); });
-    }
-    if let Some(t) = o.threads {
-        chain = chain.threads(t);
     }
     let metric = parse_metric(o.metric.as_deref().unwrap_or("instructions"));
     for &level in &levels_of(o) {

@@ -4,9 +4,17 @@
 //!
 //! With `chain` as the first argument, it instead fingerprints composed
 //! chain contracts (paths, tags, verdicts, metrics, and the compose-side
-//! solver counters) at both stack levels — the CI `chain-determinism`
-//! job diffs this output at `BOLT_THREADS=1/2/8`, so any scheduling or
-//! merge-order leak in the parallel composer fails the gate.
+//! solver counters) at both stack levels.
+//!
+//! The CI `fingerprint` job `cmp`s both outputs against the golden files
+//! `tests/golden/fingerprint.txt` and `tests/golden/fingerprint-chain.txt`,
+//! so any change to exploration, composition, or planning output fails
+//! the gate. Regenerate them only for an intended output change:
+//!
+//! ```sh
+//! cargo run --release --example fingerprint > tests/golden/fingerprint.txt
+//! cargo run --release --example fingerprint chain > tests/golden/fingerprint-chain.txt
+//! ```
 
 use bolt::core::nf::NetworkFunction;
 use bolt::core::Pipeline;
@@ -15,7 +23,7 @@ use bolt::nfs::{nat, Bridge, ExampleRouter, Firewall, LoadBalancer, LpmRouter, N
 use bolt::see::StackLevel;
 use bolt::trace::Metric;
 
-fn dump<N: NetworkFunction + Sync>(name: &str, nf: N) {
+fn dump<N: NetworkFunction>(name: &str, nf: N) {
     for level in [StackLevel::NfOnly, StackLevel::FullStack] {
         let contract = nf.explore(level).contract();
         println!("== {name} {level:?}: {} paths", contract.paths().len());
@@ -35,8 +43,7 @@ fn dump<N: NetworkFunction + Sync>(name: &str, nf: N) {
 fn dump_chain(label: &str, chain: &Pipeline<'_>) {
     for level in [StackLevel::NfOnly, StackLevel::FullStack] {
         // Parallelize so the plan — groups, witnesses, predicted cycle
-        // contract — is part of the fingerprint; it must be just as
-        // thread-count-independent as the composed contract itself.
+        // contract — is part of the fingerprint too.
         let rep = chain.parallelize(level).expect("non-empty chain");
         let key = chain.chain_key(level).expect("non-empty chain");
         println!(
@@ -53,9 +60,8 @@ fn dump_chain(label: &str, chain: &Pipeline<'_>) {
                 p.index, p.tags, p.verdict
             );
         }
-        // Compose-side solver counters are part of the fingerprint: the
-        // parallel committer replays the sequential schedule, so these
-        // must be byte-identical at any thread count too.
+        // Compose-side solver counters are part of the fingerprint, so a
+        // change to the compose solver schedule fails the golden gate.
         let s = rep.solver;
         println!(
             "  compose: steps={}+{} requests={} queries={} witness={} memo={} unsat-prop={}",

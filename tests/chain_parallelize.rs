@@ -2,8 +2,7 @@
 //! group a chain's provably-commuting stages (two identical firewalls),
 //! keep provably order-dependent pairs sequential (NAT vs. firewall,
 //! firewall vs. router), predict a cycle contract strictly below the
-//! sequential sum, stay byte-identical at any worker-thread count, and
-//! cache its plan as a store record that any stage-config change
+//! sequential sum, and cache its plan as a store record that any stage-config change
 //! invalidates.
 
 use bolt::core::{encode_contract, encode_plan, stages_commute, Composer, ContractStore, Pipeline};
@@ -76,27 +75,6 @@ fn parallelize_groups_commuting_stages_and_beats_the_sum() {
 }
 
 #[test]
-fn plans_are_byte_identical_at_any_thread_count() {
-    let level = StackLevel::NfOnly;
-    let base = fw_fw_rt().threads(1).parallelize(level).unwrap();
-    let plan_bytes = encode_plan(base.plan.as_ref().unwrap());
-    let contract_bytes = encode_contract(&base.contract);
-    for threads in [2, 8] {
-        let rep = fw_fw_rt().threads(threads).parallelize(level).unwrap();
-        assert_eq!(
-            encode_plan(rep.plan.as_ref().unwrap()),
-            plan_bytes,
-            "plan at {threads} threads diverged from sequential"
-        );
-        assert_eq!(
-            encode_contract(&rep.contract),
-            contract_bytes,
-            "contract at {threads} threads diverged from sequential"
-        );
-    }
-}
-
-#[test]
 fn nat_and_firewall_are_provably_order_dependent() {
     let level = StackLevel::NfOnly;
     let nat = Nat::default().explore(level).contract().into_inner();
@@ -104,7 +82,7 @@ fn nat_and_firewall_are_provably_order_dependent() {
     let solver = Solver::default();
     let mut cache = SolverCache::new();
     assert!(
-        !stages_commute(&nat, &fw, "nat", "firewall", &solver, &mut cache, 1),
+        !stages_commute(&nat, &fw, "nat", "firewall", &solver, &mut cache),
         "NAT before vs. after the firewall must not commute"
     );
     // And the planner keeps them sequential inside a chain.

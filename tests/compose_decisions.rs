@@ -61,7 +61,7 @@ fn stats(
     }
 }
 
-/// Runs the chain named `chain` at `level` on one compose thread.
+/// Runs the chain named `chain` at `level`.
 fn run(chain: &str, level: StackLevel) -> ChainReport {
     let (fw, rt) = (Firewall::default, StaticRouter::default);
     let p = match chain {
@@ -70,8 +70,7 @@ fn run(chain: &str, level: StackLevel) -> ChainReport {
         "fw>fw" => Pipeline::new().push(fw()).push(fw()),
         "fw>fw>rt plan" => Pipeline::new().push(fw()).push(fw()).push(rt()),
         other => unreachable!("unknown chain {other}"),
-    }
-    .threads(1);
+    };
     let rep = if chain.ends_with("plan") {
         p.parallelize(level)
     } else {
